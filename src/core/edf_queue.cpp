@@ -26,20 +26,20 @@ std::vector<Message>& EdfQueueSet::queue_of(TrafficClass c) {
   return nrt_;
 }
 
-void EdfQueueSet::insert_edf(std::vector<Message>& q, Message msg) {
+void EdfQueueSet::insert_edf(std::vector<Message>& q, const Message& msg) {
   const auto pos = std::upper_bound(q.begin(), q.end(), msg, edf_before);
-  q.insert(pos, std::move(msg));
+  q.insert(pos, msg);
 }
 
-void EdfQueueSet::push(Message msg) {
+void EdfQueueSet::push(const Message& msg) {
   CCREDF_EXPECT(msg.remaining_slots >= 1 && msg.size_slots >= 1,
                 "EdfQueueSet: message must need at least one slot");
   index_.insert(msg.id,
                 IndexEntry{msg.traffic_class, msg.deadline, msg.arrival});
   if (msg.traffic_class == TrafficClass::kNonRealTime) {
-    nrt_.push_back(std::move(msg));  // FIFO
+    nrt_.push_back(msg);  // FIFO
   } else {
-    insert_edf(queue_of(msg.traffic_class), std::move(msg));
+    insert_edf(queue_of(msg.traffic_class), msg);
   }
   ++version_;
 }
@@ -144,7 +144,7 @@ std::size_t EdfQueueSet::reschedule_in(std::vector<Message>& q,
     m.deadline = deadline;
     index_.erase(m.id);
     index_.insert(m.id, IndexEntry{m.traffic_class, m.deadline, m.arrival});
-    insert_edf(q, std::move(m));
+    insert_edf(q, m);
   }
   return resched_scratch_.size();
 }

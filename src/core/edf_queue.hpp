@@ -29,7 +29,7 @@ namespace ccredf::core {
 class EdfQueueSet {
  public:
   /// Inserts a message into its class queue (EDF position for RT/BE).
-  void push(Message msg);
+  void push(const Message& msg);
 
   /// The message the node would request a slot for at time `sample`:
   /// the earliest-deadline *eligible* (arrival <= sample) message of the
@@ -43,6 +43,16 @@ class EdfQueueSet {
     if (const Message* m = first_eligible(rt_, rt_head_, sample)) return m;
     if (const Message* m = first_eligible(be_, be_head_, sample)) return m;
     if (const Message* m = first_eligible(nrt_, nrt_head_, sample)) return m;
+    return nullptr;
+  }
+
+  /// The earliest-deadline queued real-time message of connection `id`
+  /// -- for a periodic connection its oldest outstanding job -- or
+  /// nullptr when none is queued.
+  [[nodiscard]] const Message* rt_head_of(ConnectionId id) const {
+    for (const Message& m : rt_) {
+      if (m.connection == id) return &m;
+    }
     return nullptr;
   }
 
@@ -118,7 +128,7 @@ class EdfQueueSet {
   mutable HeadCache be_head_;
   mutable HeadCache nrt_head_;
 
-  void insert_edf(std::vector<Message>& q, Message msg);
+  void insert_edf(std::vector<Message>& q, const Message& msg);
   [[nodiscard]] const Message* first_eligible(const std::vector<Message>& q,
                                               HeadCache& cache,
                                               sim::TimePoint sample) const {

@@ -89,12 +89,14 @@ struct NetworkConfig {
   /// NetworkStats still see every delivery.
   bool record_inboxes = true;
 
-  /// Slot fast-forward: when the ring is provably idle (no queued
-  /// messages, no pending grants/acks, master keeps the clock) and no
-  /// event fires before a slot's end, the engine advances whole slots
-  /// arithmetically instead of simulating them.  Statistics are bitwise
-  /// identical either way (DESIGN.md §8); off only to benchmark the
-  /// slot-by-slot path or to debug the engine itself.
+  /// Slot fast-forward: when a slot's decision is provably "master
+  /// keeps the clock, nobody transmits" (an idle ring under TCMA, or an
+  /// engaged plan waiting for its next bundle; no pending grants/acks)
+  /// and no event fires before the slot's end, the engine advances
+  /// whole slots arithmetically instead of simulating them.  Statistics
+  /// are bitwise identical either way (DESIGN.md §8); off only to
+  /// benchmark the slot-by-slot path, as the reference the parity gates
+  /// compare against, or to debug the engine itself.
   bool fast_forward = true;
 
   /// Hypercycle reservation planner (ROADMAP item 4, PROTOCOL.md §9):

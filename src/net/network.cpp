@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "net/ccredf_protocol.hpp"
@@ -166,7 +167,7 @@ MessageId Network::enqueue(NodeId src, NodeSet dests, core::TrafficClass cls,
   m.connection = conn;
   m.release_index = release_index;
   m.payload_bytes = size_slots * timing_->payload_bytes();
-  nodes_[src].queues().push(std::move(m));
+  nodes_[src].queues().push(m);
   soa_.queued.insert(src);
   return id;
 }
@@ -265,19 +266,8 @@ void Network::fire_release(ConnectionId id, ReleaseState& st) {
   // The arrival is the nominal release instant: the event path fires
   // exactly there, and the plan-driven table may catch up at the next
   // slot boundary without skewing latency accounting.
-  const MessageId mid =
-      enqueue(p.source, p.dests, core::TrafficClass::kRealTime, p.size_slots,
-              deadline, id, st.released, release_t);
-  if (plan_valid_ && !plan_diverged_) {
-    // The plan's cursor binds this connection's jobs FIFO: remember the
-    // released id so the bundle grant knows which message it carries.
-    const std::int32_t pi = planner_->planned_index(id);
-    if (pi >= 0) {
-      plan_pending_[static_cast<std::size_t>(pi)].push_back(mid);
-    } else {
-      mark_plan_diverged();  // a release the plan does not know about
-    }
-  }
+  enqueue(p.source, p.dests, core::TrafficClass::kRealTime, p.size_slots,
+          deadline, id, st.released, release_t);
   ++conn_stats_slot(id).released;
   ++st.released;
 }
@@ -498,7 +488,8 @@ std::vector<Network::OpenCbsInfo> Network::cbs_servers_of(NodeId src) const {
   return out;
 }
 
-void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
+template <bool kObserved>
+void Network::execute_grants(sim::TimePoint slot_end) {
   int executed = 0;
   for (const NodeId g : current_granted_) {
     Node& src = nodes_[g];
@@ -521,12 +512,6 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
     if (!cbs_.empty()) charge_cbs(g, done.has_value());
     if (!done) continue;  // more slots of this message remain
     refresh_queued_bit(g);  // the consumed message may have drained g
-    if (plan_valid_ && !plan_diverged_) {
-      // Divergence-exact completion check: while the plan is in effect
-      // every completion must be the front of its connection's pending
-      // queue, else the engine's view has drifted from the plan's.
-      plan_note_completion(done->connection, done->id);
-    }
 
     core::Delivery d;
     d.id = done->id;
@@ -539,7 +524,7 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
     d.deadline = done->deadline;
     d.size_slots = done->size_slots;
 
-    if (fault_hook_ != nullptr) {
+    if (kObserved && fault_hook_ != nullptr) {
       // Data-channel exposure: the payload rode the byte-parallel fibres
       // from the source over the links to its furthest destination.
       // With the payload CRC every slot also carries its 32-bit check.
@@ -557,7 +542,7 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
         // reaches an inbox, and the source learns through the NACK bits
         // of the next distribution packet (with_acks runs).
         ++stats_.faults.payload_detected;
-        rec.corrupt_deliveries.push_back(d);
+        rec_.corrupt_deliveries.push_back(d);
         continue;
       }
       // kSilent: the corruption escaped detection (no payload CRC, or
@@ -565,7 +550,7 @@ void Network::execute_grants(SlotRecord& rec, sim::TimePoint slot_end) {
       // the hazard it is.
       if (fate == DataF::kSilent) ++stats_.faults.payload_undetected;
     }
-    rec.deliveries.push_back(d);
+    if constexpr (kObserved) rec_.deliveries.push_back(d);
 
     for (const NodeId dst : soa_.bind_dests[g]) {
       if (!nodes_[dst].failed()) nodes_[dst].deliver(d);
@@ -759,56 +744,70 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
 }
 
 void Network::step_slot() {
+  if (!observers_.empty() || resilience_ != nullptr ||
+      fault_hook_ != nullptr || cfg_.with_acks) {
+    step_slot<true>();
+  } else {
+    step_slot<false>();
+  }
+}
+
+template <bool kObserved>
+void Network::step_slot() {
   sim_.run_until(slot_start_);
   plan_release_due(slot_start_);
   const sim::Duration t_slot = timing_->slot();
   const sim::TimePoint slot_end = slot_start_ + t_slot;
+  const NodeSet granted = current_granted_;
 
   // Reuse the scratch record: its vectors keep their high-water capacity,
-  // so a steady-state slot performs no heap allocation.
+  // so a steady-state slot performs no heap allocation.  Its per-slot
+  // fields are refreshed only when something reads them.
   SlotRecord& rec = rec_;
-  rec.index = slot_;
-  rec.start = slot_start_;
-  rec.end = slot_end;
-  rec.gap_after = sim::Duration::zero();
-  rec.master = master_;
-  rec.next_master = kInvalidNode;
-  rec.granted = current_granted_;
-  rec.deliveries.clear();
-  rec.corrupt_deliveries.clear();
-  rec.acks = NodeSet{};
-  rec.nacks = NodeSet{};
-  rec.token_lost = false;
-  rec.heard = NodeSet{};
+  if constexpr (kObserved) {
+    rec.index = slot_;
+    rec.start = slot_start_;
+    rec.end = slot_end;
+    rec.gap_after = sim::Duration::zero();
+    rec.master = master_;
+    rec.next_master = kInvalidNode;
+    rec.granted = granted;
+    rec.deliveries.clear();
+    rec.corrupt_deliveries.clear();
+    rec.acks = NodeSet{};
+    rec.nacks = NodeSet{};
+    rec.token_lost = false;
+    rec.heard = NodeSet{};
+  }
 
   // Phase 1: the data of this slot (granted during slot k-1).
-  execute_grants(rec, slot_end);
+  execute_grants<kObserved>(slot_end);
   stats_.time_in_slots += t_slot;
-  if (cfg_.with_acks) {
-    // Receivers acknowledge last slot's completed transfers in this
-    // slot's distribution packet (ref [11]); lost with the packet on a
-    // token loss.
-    rec.acks = pending_acks_;
-    pending_acks_ = NodeSet{};
-    for (const auto& d : rec.deliveries) pending_acks_.insert(d.source);
-  }
-  const bool nack_wire = cfg_.with_acks && cfg_.with_payload_crc;
-  if (nack_wire) {
-    // Receivers NACK last slot's CRC-rejected payloads the same way the
-    // acks travel: on the next distribution packet.
-    rec.nacks = pending_nacks_;
-    pending_nacks_ = NodeSet{};
-    for (const auto& d : rec.corrupt_deliveries) {
-      pending_nacks_.insert(d.source);
+  if constexpr (kObserved) {
+    if (cfg_.with_acks) {
+      // Receivers acknowledge last slot's completed transfers in this
+      // slot's distribution packet (ref [11]); lost with the packet on a
+      // token loss.
+      rec.acks = pending_acks_;
+      pending_acks_ = NodeSet{};
+      for (const auto& d : rec.deliveries) pending_acks_.insert(d.source);
+    }
+    if (cfg_.with_acks && cfg_.with_payload_crc) {
+      // Receivers NACK last slot's CRC-rejected payloads the same way the
+      // acks travel: on the next distribution packet.
+      rec.nacks = pending_nacks_;
+      pending_nacks_ = NodeSet{};
+      for (const auto& d : rec.corrupt_deliveries) {
+        pending_nacks_.insert(d.source);
+      }
     }
   }
 
   // Phase 2: collection for slot k+1 rides the control channel now --
   // unless an engaged hypercycle plan already knows the outcome, in
   // which case the wire stays silent (no sampling, no request records,
-  // no arbitration).  The branch is latched here: divergence signalled
-  // later in this slot takes effect at the next slot boundary, exactly
-  // as on the try_plan_forward path.
+  // no arbitration).  The decision source is latched here: divergence
+  // signalled later in this slot takes effect at the next slot boundary.
   const bool planned = plan_engaged();
   if (planned) {
     for (const NodeId j : requesters_) rec.requests[j] = core::Request{};
@@ -822,13 +821,13 @@ void Network::step_slot() {
   }
   const std::vector<core::Request>& requests = rec.requests;
 
-  // Phase 3: arbitration at the master; the distribution packet ends with
-  // the slot.  A token loss (fault injection, or the master dying at any
-  // point before the packet's last bit) means no node learns the outcome
-  // -- so drain events through slot end before judging.
+  // Phase 3: the decision at the master; the distribution packet ends
+  // with the slot.  A token loss (fault injection, or the master dying at
+  // any point before the packet's last bit) means no node learns the
+  // outcome -- so drain events through slot end before judging.
   sim_.run_until(slot_end);
   bool token_lost = false;
-  if (!planned && fault_hook_ != nullptr &&
+  if (kObserved && !planned && fault_hook_ != nullptr &&
       fault_hook_->drop_distribution(slot_)) {
     token_lost = true;
     ++stats_.faults.token_losses;
@@ -863,6 +862,47 @@ void Network::step_slot() {
       ++stats_.priority_inversions;
     }
   }
+  const sim::Duration gap =
+      token_lost || (kObserved && fault_hook_ != nullptr) || !severed_.empty()
+          ? settle_faulted_slot(plan, token_lost, planned)
+          : protocol_->gap(master_, plan.next_master);
+  if constexpr (kObserved) {
+    stats_.faults.payload_nacks += rec.nacks.size();
+    rec.gap_after = gap;
+    rec.next_master = plan.next_master;
+  }
+
+  stats_.time_in_gaps += gap;
+  stats_.gap.add(gap);
+  stats_.handover_hops.add(
+      static_cast<std::int64_t>(topo_.hops(master_, plan.next_master)));
+  ++stats_.slots;
+
+  trace_.emit(slot_start_, sim::TraceCategory::kSlot, [&] {
+    std::ostringstream os;
+    os << "slot " << slot_ << " master=" << master_ << " granted="
+       << granted.size() << " next=" << plan.next_master
+       << " gap=" << gap.ns() << "ns";
+    return os.str();
+  });
+
+  current_granted_ = plan.granted;
+  master_ = plan.next_master;
+  slot_start_ = slot_end + gap;
+  ++slot_;
+
+  if constexpr (kObserved) {
+    for (const auto& obs : observers_) obs(rec);
+    // The resilience hook runs LAST: it may mutate the network
+    // (quarantine closes, staged re-opens), and the observers above must
+    // see the slot as it actually ran.
+    if (resilience_ != nullptr) resilience_->on_slot_end(rec);
+  }
+}
+
+sim::Duration Network::settle_faulted_slot(SlotPlan& plan, bool token_lost,
+                                           bool planned) {
+  SlotRecord& rec = rec_;
   if (!token_lost && !planned && fault_hook_ != nullptr) {
     // The distribution packet crosses every link; bit errors on it are
     // the most dangerous fault axis because ALL nodes act on the result.
@@ -871,7 +911,7 @@ void Network::step_slot() {
     pkt.hp_node = plan.next_master;
     pkt.has_acks = cfg_.with_acks;
     pkt.acks = rec.acks;
-    pkt.has_nacks = nack_wire;
+    pkt.has_nacks = cfg_.with_acks && cfg_.with_payload_crc;
     pkt.nacks = rec.nacks;
     using DF = FaultHook::DistributionFault;
     switch (fault_hook_->filter_distribution(slot_, pkt)) {
@@ -898,7 +938,7 @@ void Network::step_slot() {
         bool collision = false;   // grant bit on an ungranted requester
         for (const NodeId g : pkt.granted) {
           if (plan.granted.contains(g)) continue;
-          if (!requests[g].wants_slot()) {
+          if (!rec.requests[g].wants_slot()) {
             impossible = true;
           } else {
             collision = true;
@@ -948,7 +988,8 @@ void Network::step_slot() {
     // clock; the planned grants died with the distribution packet.
     rec.token_lost = true;
     mark_plan_diverged();
-    gap = (t_slot + protocol_->max_gap()) * cfg_.recovery_timeout_slots;
+    gap = (timing_->slot() + protocol_->max_gap()) *
+          cfg_.recovery_timeout_slots;
     // The designated restarter takes over; if it is itself down, the
     // first live node downstream of it assumes the role.
     NodeId restarter = cfg_.designated_restarter;
@@ -1007,86 +1048,79 @@ void Network::step_slot() {
       }
     }
   }
-  stats_.faults.payload_nacks += rec.nacks.size();
-
-  rec.gap_after = gap;
-  rec.next_master = plan.next_master;
-
-  stats_.time_in_gaps += gap;
-  stats_.gap.add(gap);
-  stats_.handover_hops.add(
-      static_cast<std::int64_t>(topo_.hops(master_, plan.next_master)));
-  ++stats_.slots;
-
-  trace_.emit(slot_start_, sim::TraceCategory::kSlot, [&] {
-    std::ostringstream os;
-    os << "slot " << slot_ << " master=" << master_ << " granted="
-       << rec.granted.size() << " next=" << plan.next_master
-       << " gap=" << gap.ns() << "ns";
-    return os.str();
-  });
-
-  current_granted_ = plan.granted;
-  master_ = plan.next_master;
-  slot_start_ = slot_end + gap;
-  ++slot_;
-
-  for (const auto& obs : observers_) obs(rec);
-  // The resilience hook runs LAST: it may mutate the network (quarantine
-  // closes, staged re-opens), and the observers above must see the slot
-  // as it actually ran.
-  if (resilience_ != nullptr) resilience_->on_slot_end(rec);
+  return gap;
 }
 
-std::int64_t Network::try_fast_forward(std::int64_t max_slots) {
+std::int64_t Network::idle_starts_before(sim::TimePoint t,
+                                         sim::Duration lead,
+                                         sim::Duration step) const {
+  if (t >= sim::TimePoint::infinity()) {
+    return std::numeric_limits<std::int64_t>::max();
+  }
+  const sim::Duration avail = t - slot_start_ - lead;
+  if (avail <= sim::Duration::zero()) return 0;
+  // Count of i >= 0 with i*step < avail, i.e. ceil(avail / step).
+  return (avail.ps() + step.ps() - 1) / step.ps();
+}
+
+std::int64_t Network::try_fast_forward(std::int64_t max_slots,
+                                       sim::TimePoint horizon) {
   if (!cfg_.fast_forward || max_slots <= 0) return 0;
-  // A slot is skippable only when it is provably the idle fixed point:
-  // nothing transmits (no live node has a queued message, no grants or
-  // ack/NACK bits are in flight), the protocol keeps the master on an
-  // all-idle slot, the master is alive (a dead master is the token-loss
-  // path), and nobody observes per-slot artefacts.
-  if (!protocol_->idle_keeps_master()) return 0;
+  // A slot is skippable only when its decision is provably "the master
+  // keeps the clock, nobody transmits": nothing is in flight (no grants,
+  // no ack/NACK bits), the master is alive (a dead master is the
+  // token-loss path), the protocol keeps the master on such a slot, and
+  // nobody observes per-slot artefacts.
+  if (!current_granted_.empty()) return 0;
+  // Plan decision source: the cursor waits, whatever the queues hold,
+  // until the next bundle's release instant.  Table releases due inside
+  // the stretch fire at the next simulated slot boundary with their
+  // nominal instants, exactly as the waiting slots would have left them
+  // queued.
+  const bool planned = plan_engaged();
+  const sim::TimePoint decided_until =
+      planned ? std::min(horizon, plan_next_eligible_time()) : horizon;
+  if (decided_until <= slot_start_) return 0;
+  if (!pending_acks_.empty() || !pending_nacks_.empty()) return 0;
+  if (soa_.failed.contains(master_)) return 0;
   if (!observers_.empty() || trace_.enabled(sim::TraceCategory::kSlot)) {
     return 0;
   }
-  if (!(soa_.queued & ~soa_.failed).empty()) return 0;
-  if (!current_granted_.empty()) return 0;
-  if (!pending_acks_.empty() || !pending_nacks_.empty()) return 0;
-  if (soa_.failed.contains(master_)) return 0;
-  // A severed ring is skippable only once it has settled into the stable
-  // degraded orbit: exactly one cut with the master parked at the cut's
-  // downstream anchor (the break link coincides with the cut, so an idle
-  // slot keeps the master and hears everyone -- the same fixed point as
-  // the intact ring).  Multi-cut dark slots and un-anchored slots mutate
-  // state (ring_dark, succession) and must be simulated.
-  if (!severed_.empty() &&
-      (severed_.size() != 1 || master_ != degraded_anchor())) {
-    return 0;
+  if (!protocol_->idle_keeps_master()) return 0;
+  if (!planned) {
+    // TCMA decision source: an all-idle slot is the arbitration fixed
+    // point only while no live node has a queued message.
+    if (!(soa_.queued & ~soa_.failed).empty()) return 0;
+    // A severed ring is skippable only once it has settled into the
+    // stable degraded orbit: exactly one cut with the master parked at
+    // the cut's downstream anchor (the break link coincides with the
+    // cut, so an idle slot keeps the master and hears everyone -- the
+    // same fixed point as the intact ring).  Multi-cut dark slots and
+    // un-anchored slots mutate state (ring_dark, succession) and must be
+    // simulated.
+    if (!severed_.empty() &&
+        (severed_.size() != 1 || master_ != degraded_anchor())) {
+      return 0;
+    }
+    // The first collection under a fresh cut books the detection
+    // latency; that slot must run for real.
+    if (cut_detect_pending_) return 0;
   }
-  // The first collection under a fresh cut books the detection latency;
-  // that slot must run for real.
-  if (cut_detect_pending_) return 0;
 
   const sim::Duration t_slot = timing_->slot();
   const sim::Duration g = protocol_->gap(master_, master_);
   const sim::Duration step = t_slot + g;
-
-  // Only slots ending STRICTLY before the next event are skippable: an
-  // event landing inside (or exactly at the end of) a slot could release
-  // a message a later collection sample of that slot would see, so that
-  // slot is simulated normally.
-  std::int64_t k = max_slots;
-  // With the release events suppressed by an adopted plan, the table
-  // cursor is the release "event" the skip window must not cross.
-  const sim::TimePoint t_next =
-      std::min(sim_.next_event_time(), plan_next_release_time());
-  if (t_next < sim::TimePoint::infinity()) {
-    const sim::Duration avail = t_next - slot_start_ - t_slot;
-    if (avail <= sim::Duration::zero()) return 0;
-    // Count of i >= 0 with i*step < avail, i.e. ceil(avail / step).
-    const std::int64_t fit = (avail.ps() + step.ps() - 1) / step.ps();
-    k = std::min(k, fit);
-  }
+  // Only slots starting before the decision changes (the plan's next
+  // eligible bundle, the caller's horizon) and ending STRICTLY before
+  // the next event are skippable: an event landing inside (or exactly
+  // at the end of) a slot could release a message a later collection
+  // sample of that slot would see, or kill its master, so that slot is
+  // simulated normally.
+  const std::int64_t until_decided =
+      idle_starts_before(decided_until, sim::Duration::zero(), step);
+  const std::int64_t until_event =
+      idle_starts_before(sim_.next_event_time(), t_slot, step);
+  std::int64_t k = std::min({max_slots, until_decided, until_event});
   if (fault_hook_ != nullptr) {
     // With fault axes armed, fall back to batched keyed probes: the hook
     // reports the first slot in range that could fire.  The draws stay
@@ -1112,13 +1146,7 @@ std::int64_t Network::try_fast_forward(std::int64_t max_slots) {
   stats_.slots += k;
   stats_.ff_slots_skipped += k;
   ++stats_.ff_windows;
-  if (plan_valid_ && !plan_diverged_) {
-    // Under an engaged plan an idle slot IS a planned wait (the queue
-    // being empty proves the next bundle's releases have not fired), so
-    // the idle fast path must mirror the cursor's wait accounting for
-    // the planned-vs-unplanned and ff-vs-slot-by-slot parity gates.
-    stats_.plan_wait_slots += k;
-  }
+  if (planned) stats_.plan_wait_slots += k;
   stats_.time_in_slots += t_slot * k;
   stats_.time_in_gaps += g * k;
   stats_.gap.add_n(g.ps(), k);
@@ -1178,7 +1206,6 @@ void Network::rebuild_plan() {
   plan_prefix_pos_ = 0;
   plan_cycle_pos_ = 0;
   plan_cycle_no_ = 0;
-  plan_pending_.assign(planner_->connection_count(), {});
   plan_adopt_releases();
 }
 
@@ -1279,14 +1306,6 @@ void Network::plan_release_due_slow(sim::TimePoint upto) {
   }
 }
 
-sim::TimePoint Network::plan_next_release_time() const {
-  if (plan_releases_.empty()) return sim::TimePoint::infinity();
-  const PlanRelease& r = plan_releases_[plan_release_idx_];
-  return sim::TimePoint::origin() +
-         timing_->slot() *
-             (r.rel + plan_release_cycle_ * planner_->hyperperiod_slots());
-}
-
 sim::TimePoint Network::plan_next_eligible_time() const {
   std::int64_t rel;
   if (plan_prefix_pos_ < planner_->prefix().size()) {
@@ -1319,23 +1338,21 @@ SlotPlan Network::plan_next_from_cursor() {
     return plan;  // wait: master keeps the clock, nobody granted
   }
   const core::HypercyclePlanner::Grant* gs = planner_->grants(*b);
-  // Validate every pending front BEFORE binding, so a divergence (queue
-  // drift) leaves no partial bindings behind.
-  for (std::uint32_t i = 0; i < b->grant_count; ++i) {
-    const std::int32_t pi = planner_->planned_index(gs[i].conn);
-    if (pi < 0 || plan_pending_[static_cast<std::size_t>(pi)].empty() ||
-        !nodes_[gs[i].source].queues().contains(
-            plan_pending_[static_cast<std::size_t>(pi)].front())) {
-      mark_plan_diverged();
-      return plan;  // idle decision; TCMA resumes next slot
-    }
-  }
+  // Each grant carries its connection's oldest queued job (a bundle
+  // holds at most one grant per source).
   for (std::uint32_t i = 0; i < b->grant_count; ++i) {
     const auto& g = gs[i];
     const NodeId s = g.source;
-    const auto pi = static_cast<std::size_t>(planner_->planned_index(g.conn));
+    const core::Message* job = nodes_[s].queues().rt_head_of(g.conn);
+    if (job == nullptr) {
+      // A job the plan counts on is not queued: the engine's view has
+      // drifted from the plan's.  Drop the partial bindings.
+      mark_plan_diverged();
+      soa_.bound = NodeSet{};
+      return plan;  // idle decision; TCMA resumes next slot
+    }
     soa_.bound.insert(s);
-    soa_.bind_msg[s] = plan_pending_[pi].front();
+    soa_.bind_msg[s] = job->id;
     soa_.bind_hops[s] = g.hops;
     soa_.bind_links[s] = g.links;
     soa_.bind_dests[s] = g.dests;
@@ -1353,199 +1370,24 @@ SlotPlan Network::plan_next_from_cursor() {
   return plan;
 }
 
-void Network::execute_plan_grants(sim::TimePoint slot_end) {
-  int executed = 0;
-  for (const NodeId g : current_granted_) {
-    Node& src = nodes_[g];
-    if (!soa_.bound.contains(g) || src.failed() ||
-        !src.queues().contains(soa_.bind_msg[g])) {
-      ++stats_.wasted_grants;
-      continue;
-    }
-    ++executed;
-    ++stats_.total_grants;
-    ++stats_.node_grants[g];
-    auto done = src.queues().consume_slot(soa_.bind_msg[g]);
-    if (!done) continue;
-    refresh_queued_bit(g);
-    if (plan_valid_ && !plan_diverged_) {
-      plan_note_completion(done->connection, done->id);
-    }
-    core::Delivery d;
-    d.id = done->id;
-    d.source = done->source;
-    d.dests = done->dests;
-    d.traffic_class = done->traffic_class;
-    d.connection = done->connection;
-    d.arrival = done->arrival;
-    d.completed = slot_end + phy_->path_delay(g, soa_.bind_hops[g]);
-    d.deadline = done->deadline;
-    d.size_slots = done->size_slots;
-    for (const NodeId dst : soa_.bind_dests[g]) {
-      if (!nodes_[dst].failed()) nodes_[dst].deliver(d);
-    }
-    auto& cs = stats_.cls(done->traffic_class);
-    ++cs.delivered;
-    cs.bytes += done->payload_bytes;
-    cs.latency.add(d.latency());
-    const bool sched_miss = !d.met_deadline();
-    const bool user_miss =
-        sched_miss && d.completed > d.deadline + timing_->worst_case_latency();
-    if (sched_miss) ++cs.scheduling_misses;
-    if (user_miss) ++cs.user_misses;
-    if (done->connection != kNoConnection) {
-      auto& conn = conn_stats_slot(done->connection);
-      ++conn.delivered;
-      conn.bytes += done->payload_bytes;
-      conn.latency.add(d.latency());
-      if (sched_miss) ++conn.scheduling_misses;
-      if (user_miss) ++conn.user_misses;
-    }
-  }
-  if (executed > 0) {
-    ++stats_.busy_slots;
-    if (executed > 1) ++stats_.reuse_slots;
-  }
-}
-
-std::int64_t Network::try_plan_forward(std::int64_t max_slots) {
-  if (!cfg_.fast_forward || max_slots <= 0) return 0;
-  if (!plan_valid_ || plan_diverged_) return 0;
-  if (cfg_.with_acks) return 0;  // ack bookkeeping needs the full path
-  const sim::Duration t_slot = timing_->slot();
-  std::int64_t done = 0;
-  while (done < max_slots) {
-    if (!observers_.empty() || trace_.enabled(sim::TraceCategory::kSlot)) {
-      break;
-    }
-    sim_.run_until(slot_start_);
-    plan_release_due(slot_start_);
-    if (!plan_valid_ || plan_diverged_) break;  // an event broke the plan
-    if (current_granted_.empty()) {
-      // Wait stretch: batched exactly like try_fast_forward's idle skip.
-      const sim::TimePoint need = plan_next_eligible_time();
-      if (need > slot_start_) {
-        const sim::Duration g = protocol_->gap(master_, master_);
-        const sim::Duration step = t_slot + g;
-        std::int64_t k = max_slots - done;
-        k = std::min(k,
-                     ((need - slot_start_).ps() + step.ps() - 1) / step.ps());
-        const sim::TimePoint t_next = sim_.next_event_time();
-        if (t_next < sim::TimePoint::infinity()) {
-          const sim::Duration avail = t_next - slot_start_ - t_slot;
-          if (avail <= sim::Duration::zero()) {
-            k = 0;
-          } else {
-            k = std::min(k, (avail.ps() + step.ps() - 1) / step.ps());
-          }
-        }
-        if (k > 0) {
-          stats_.slots += k;
-          stats_.plan_wait_slots += k;
-          stats_.time_in_slots += t_slot * k;
-          stats_.time_in_gaps += g * k;
-          stats_.gap.add_n(g.ps(), k);
-          stats_.handover_hops.add_n(0, k);
-          const sim::TimePoint last_end = slot_start_ + step * (k - 1) + t_slot;
-          sim_.advance_to(last_end);
-          slot_ += k;
-          slot_start_ = last_end + g;
-          done += k;
-          continue;
-        }
-        // An event lands inside the next slot: run it on the full path
-        // below (the decision is still the same wait).
-      }
-    }
-    // One full planned slot on the lean path.
-    const sim::TimePoint slot_end = slot_start_ + t_slot;
-    execute_plan_grants(slot_end);
-    stats_.time_in_slots += t_slot;
-    soa_.bound = NodeSet{};
-    sim_.run_until(slot_end);
-    if (nodes_[master_].failed()) {
-      // Token loss: accounting identical to step_slot's recovery path.
-      mark_plan_diverged();
-      const sim::Duration gap =
-          (t_slot + protocol_->max_gap()) * cfg_.recovery_timeout_slots;
-      NodeId restarter = cfg_.designated_restarter;
-      NodeId tried = 0;
-      while (tried < nodes() && nodes_[restarter].failed()) {
-        restarter = topo_.downstream(restarter);
-        ++tried;
-      }
-      if (tried == nodes()) {
-        ++stats_.faults.ring_dark;
-        restarter = cfg_.designated_restarter;
-      } else {
-        ++recoveries_;
-        ++stats_.faults.recoveries;
-        recovery_time_ += gap;
-        stats_.faults.recovery_gap.add(gap);
-        stats_.faults.recovery_gap_quantiles.add(gap.ps());
-      }
-      soa_.bound = NodeSet{};
-      stats_.time_in_gaps += gap;
-      stats_.gap.add(gap);
-      stats_.handover_hops.add(
-          static_cast<std::int64_t>(topo_.hops(master_, restarter)));
-      ++stats_.slots;
-      current_granted_ = NodeSet{};
-      master_ = restarter;
-      slot_start_ = slot_end + gap;
-      ++slot_;
-      ++done;
-      break;
-    }
-    const SlotPlan plan = plan_next_from_cursor();
-    const sim::Duration gap = protocol_->gap(master_, plan.next_master);
-    stats_.time_in_gaps += gap;
-    stats_.gap.add(gap);
-    stats_.handover_hops.add(
-        static_cast<std::int64_t>(topo_.hops(master_, plan.next_master)));
-    ++stats_.slots;
-    current_granted_ = plan.granted;
-    master_ = plan.next_master;
-    slot_start_ = slot_end + gap;
-    ++slot_;
-    ++done;
-  }
-  return done;
-}
-
 void Network::run_slots(std::int64_t n) {
-  std::int64_t done = 0;
-  while (done < n) {
-    done += try_fast_forward(n - done);
-    if (done >= n) break;
-    const std::int64_t p = try_plan_forward(n - done);
-    if (p > 0) {
-      done += p;
-      continue;
-    }
-    step_slot();
-    ++done;
-  }
+  run(n, sim::TimePoint::infinity());
 }
 
 void Network::run_for(sim::Duration d) {
-  const sim::TimePoint horizon = sim_.now() + d;
-  // gap(m, m) is only meaningful for protocols with the idle fixed point
-  // (CC-FPR asserts on non-adjacent hand-overs), so gate up front.
-  const bool can_ff = cfg_.fast_forward && protocol_->idle_keeps_master();
-  while (slot_start_ < horizon) {
-    if (can_ff) {
-      // Mirror the slot-by-slot loop: only slots STARTING before the
-      // horizon run, so bound the skip by the same condition.  The gap
-      // of an idle slot is fixed, so the bound is exact arithmetic.
-      const sim::Duration step =
-          timing_->slot() + protocol_->gap(master_, master_);
-      const sim::Duration room = horizon - slot_start_;
-      const std::int64_t starts =
-          (room.ps() + step.ps() - 1) / step.ps();  // ceil: starts < horizon
-      if (try_fast_forward(starts) > 0) continue;
+  run(std::numeric_limits<std::int64_t>::max(), sim_.now() + d);
+}
+
+void Network::run(std::int64_t n, sim::TimePoint horizon) {
+  std::int64_t done = 0;
+  while (done < n && slot_start_ < horizon) {
+    const std::int64_t skipped = try_fast_forward(n - done, horizon);
+    if (skipped > 0) {
+      done += skipped;
+      continue;
     }
     step_slot();
+    ++done;
   }
 }
 

@@ -1,23 +1,36 @@
 // The slot-stepped network engine binding phy + ring + MAC + EDF.
 //
-// Per slot k (master m_k, start T_k, fixed data time t_slot):
-//   1. fire queued events up to T_k (message releases, user actions);
+// Every slot runs one pipeline (step_slot).  Per slot k (master m_k,
+// start T_k, fixed data time t_slot):
+//   1. fire queued events and releases up to T_k (message releases, user
+//      actions);
 //   2. execute the grants decided during slot k-1: move one slot of each
 //      granted message; completed messages are delivered with timestamp
 //      T_k + t_slot + propagation to the furthest destination;
-//   3. collection phase: the control packet leaves the master and visits
-//      node j at T_k + prop(m_k -> j) + j_passthroughs; each node's head
-//      eligible message (arrival <= its sampling time) becomes its
-//      request, with laxity mapped to the priority field;
-//   4. the protocol plans slot k+1 (grants + next master m_{k+1});
-//   5. the slot ends at T_k + t_slot; the clock hand-over gap to m_{k+1}
-//      follows (Eq. 1), so T_{k+1} = T_k + t_slot + gap.
+//   3. decide slot k+1 (grants + next master m_{k+1}).  The decision
+//      source is the only thing that differs between engines: per-slot
+//      arbitration (TCMA) runs the collection phase -- the control
+//      packet leaves the master and visits node j at T_k + prop(m_k ->
+//      j) + j_passthroughs; each node's head eligible message (arrival
+//      <= its sampling time) becomes its request, with laxity mapped to
+//      the priority field -- and asks the protocol; an engaged
+//      hypercycle plan reads its cursor instead and the wire stays
+//      silent;
+//   4. the slot ends at T_k + t_slot; the clock hand-over gap to m_{k+1}
+//      follows (Eq. 1), so T_{k+1} = T_k + t_slot + gap.  A token loss,
+//      a distribution-packet fault or a severed link routes this close
+//      through the one recovery block.
 // This realises the paper's pipeline: arbitration for slot k+1 rides the
 // control channel while slot k's data flows (Fig. 3).
+//
+// One batching rule (try_fast_forward) skips any stretch whose decision
+// is provably "the master keeps the clock, nobody transmits" -- the TCMA
+// idle fixed point or an engaged plan's wait for its next bundle --
+// advancing the statistics arithmetically, byte-identical to stepping
+// the same slots one by one (NetworkConfig::fast_forward = false).
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -418,28 +431,45 @@ class Network {
     std::int64_t sent = 0;     // accepted jobs (release_index numbering)
   };
 
+  /// The one run loop behind run_slots and run_for: at most `n` slots,
+  /// none starting at or after `horizon`, each either skipped in a
+  /// batch by try_fast_forward or simulated by step_slot.
+  void run(std::int64_t n, sim::TimePoint horizon);
+  /// One slot of the pipeline (release -> execute -> collect/decide ->
+  /// close); dispatches to the instantiation that refreshes the
+  /// SlotRecord only when something reads it (observers, the resilience
+  /// hook, the fault hook or the ack wire).
   void step_slot();
-  void execute_grants(SlotRecord& rec, sim::TimePoint slot_end);
+  template <bool kObserved>
+  void step_slot();
+  template <bool kObserved>
+  void execute_grants(sim::TimePoint slot_end);
   void collect_requests(std::vector<core::Request>& reqs);
-  /// Skips up to `max_slots` provably idle slots in O(1) (plus O(live
-  /// nodes) of keyed fault probes per slot when a hook is armed);
-  /// returns the number skipped (0 = the next slot must be simulated).
-  std::int64_t try_fast_forward(std::int64_t max_slots);
-  /// Plan-driven engine: while the plan is engaged and nobody observes
-  /// per-slot artefacts, busy planned slots run on a lean path (no
-  /// collection phase, no SlotRecord bookkeeping) and wait stretches
-  /// advance arithmetically; returns the number of slots processed.
-  /// Statistics stay byte-identical to step_slot's planned branch.
-  std::int64_t try_plan_forward(std::int64_t max_slots);
-  /// Lean phase-1 clone of execute_grants for try_plan_forward: no
-  /// fault hook, no CBS, no SlotRecord -- all provably absent or unread
-  /// while the plan is engaged and unobserved.
-  void execute_plan_grants(sim::TimePoint slot_end);
+  /// The slot's cold fault path, taken only on a token loss, with a
+  /// fault hook attached or with a severed link: the distribution-packet
+  /// fault axes, token-loss recovery and the severed-ring re-anchor.
+  /// Rewrites `plan` and returns the hand-over gap.
+  sim::Duration settle_faulted_slot(SlotPlan& plan, bool token_lost,
+                                    bool planned);
+  /// Skips up to `max_slots` slots, all starting before `horizon`, whose
+  /// decision is provably "master keeps the clock, nobody transmits" --
+  /// the TCMA idle fixed point or an engaged plan's wait for its next
+  /// bundle -- in O(1) (plus O(live nodes) of keyed fault probes per slot
+  /// when a hook is armed); returns the number skipped (0 = the next
+  /// slot must be simulated).
+  std::int64_t try_fast_forward(std::int64_t max_slots,
+                                sim::TimePoint horizon);
+  /// Count of slots of a skip window (period `step`, first start
+  /// slot_start_) whose start + `lead` falls strictly before `t`.
+  [[nodiscard]] std::int64_t idle_starts_before(sim::TimePoint t,
+                                                sim::Duration lead,
+                                                sim::Duration step) const;
   /// Consults the plan cursor for the decision phase of the current
   /// slot (start slot_start_, master master_): on an eligible bundle it
   /// writes the soa_ bindings, advances the cursor and returns the
-  /// bundle's grants; otherwise the idle wait decision.  A pending-
-  /// queue mismatch marks divergence and returns the idle decision.
+  /// bundle's grants; otherwise the idle wait decision.  A granted
+  /// connection with no queued job marks divergence and returns the idle
+  /// decision.
   SlotPlan plan_next_from_cursor();
   /// Release instant of the bundle the cursor points at (the earliest
   /// slot start that can grant it).
@@ -463,17 +493,6 @@ class Network {
       plan_restore_releases();
     }
   }
-  /// Divergence-exact completion bookkeeping: a planned message must
-  /// complete in plan order (front of its connection's pending queue).
-  void plan_note_completion(ConnectionId conn, MessageId id) {
-    const std::int32_t pi = planner_->planned_index(conn);
-    if (pi < 0 || plan_pending_[static_cast<std::size_t>(pi)].empty() ||
-        plan_pending_[static_cast<std::size_t>(pi)].front() != id) {
-      mark_plan_diverged();
-    } else {
-      plan_pending_[static_cast<std::size_t>(pi)].pop_front();
-    }
-  }
   /// Notifies the dirty-node tracking that `src`'s queue may have
   /// drained (after a consume/drop/clear).
   void refresh_queued_bit(NodeId src);
@@ -495,10 +514,6 @@ class Network {
     if (!plan_releases_.empty()) plan_release_due_slow(upto);
   }
   void plan_release_due_slow(sim::TimePoint upto);
-  /// Grid instant of the table cursor's next candidate (infinity when
-  /// the table is inactive); bounds the idle fast-forward exactly like
-  /// a pending release event would.
-  [[nodiscard]] sim::TimePoint plan_next_release_time() const;
   /// Charges one granted data slot to the CBS server owning the message
   /// bound at node `g` (no-op for non-CBS traffic); on budget exhaustion
   /// the server postpones and its queued backlog is re-keyed.
@@ -577,11 +592,6 @@ class Network {
   std::size_t plan_prefix_pos_ = 0;
   std::size_t plan_cycle_pos_ = 0;
   std::int64_t plan_cycle_no_ = 0;
-  /// Per planned connection (dense planner index): released message ids
-  /// not yet fully delivered, in release order.  The cursor binds the
-  /// front; execute_grants pops it on completion (plan order is FIFO
-  /// per connection by construction).
-  std::vector<std::deque<MessageId>> plan_pending_;
   /// One cyclic-release-table entry: connection `conn` releases a
   /// message at grid slots first_abs, first_abs + H, first_abs + 2H, ...
   /// (rel = first_abs mod H keys the sorted table; visits of the entry

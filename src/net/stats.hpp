@@ -184,20 +184,23 @@ struct NetworkStats {
   sim::Duration time_in_slots = sim::Duration::zero();
   sim::Duration time_in_gaps = sim::Duration::zero();
 
-  /// Slots the engine fast-forwarded over (idle stretches computed
+  /// Slots the engine fast-forwarded over (stretches whose decision is
+  /// "master keeps the clock, nobody transmits" -- TCMA idle slots and
+  /// an engaged plan's waits for its next bundle -- computed
   /// arithmetically instead of simulated; NetworkConfig::fast_forward).
   /// Every skipped slot is also counted in `slots` -- the two paths
   /// produce identical aggregate statistics.
   std::int64_t ff_slots_skipped = 0;
-  /// Number of contiguous fast-forward windows taken.
+  /// Number of contiguous fast-forward windows taken (idle and
+  /// plan-wait stretches alike).
   std::int64_t ff_windows = 0;
 
   /// Hypercycle-planner accounting (NetworkConfig::planner; all zero
   /// when the planner is off or never engaged).  A slot's next-slot
   /// decision either GRANTS a planned bundle (planned_slots) or WAITS
   /// for the next bundle's release instant (plan_wait_slots, including
-  /// wait stretches batched arithmetically) -- both counters identical
-  /// between the plan-driven fast-forward and slot-by-slot paths.
+  /// wait stretches the fast-forward batched) -- both counters identical
+  /// with fast-forward on and off.
   std::int64_t planned_slots = 0;
   std::int64_t plan_wait_slots = 0;
   /// Successful plan builds (admit/close-time relayouts).

@@ -257,6 +257,54 @@ TEST(Planner, DivergenceMidRunStaysByteIdentical) {
   EXPECT_EQ(run(true), run(false));
 }
 
+/// Staggered-offset set whose plan interleaves prefix bundles, wait
+/// stretches and cyclic bundles; a master killed mid-plan takes the
+/// token-loss recovery path from either a busy or a waiting slot.
+std::string master_kill_run(bool fast_forward, bool with_acks,
+                            std::int64_t kill_slot, std::int64_t kill_frac) {
+  NetworkConfig cfg = cfg8(/*planner=*/true, fast_forward);
+  cfg.with_acks = with_acks;
+  Network n(cfg);
+  EXPECT_TRUE(n.open_connection(conn(0, 1, 1, 8, 3)).admitted);
+  EXPECT_TRUE(n.open_connection(conn(2, 4, 2, 16)).admitted);
+  EXPECT_TRUE(n.open_connection(conn(5, 6, 1, 12, 7)).admitted);
+  EXPECT_TRUE(n.plan_engaged());
+  if (kill_slot >= 0) {
+    // The instant is a fraction of a nominal slot past kill_slot slot
+    // durations: it lands in data phases, gaps and exact boundaries.
+    const sim::Duration t = n.slot_duration() * kill_slot +
+                            n.slot_duration() * kill_frac / 8;
+    n.sim().schedule_at(sim::TimePoint::origin() + t,
+                        [&n] { (void)n.fail_node(n.current_master()); });
+  }
+  n.run_slots(3'000);
+  if (kill_slot >= 0) {
+    EXPECT_FALSE(n.plan_engaged());
+    EXPECT_EQ(n.stats().faults.recoveries, 1);
+  } else {
+    EXPECT_TRUE(n.plan_engaged());
+  }
+  return fingerprint(n);
+}
+
+TEST(Planner, MasterKillWhileEngagedStaysByteIdentical) {
+  // The recovery block must account a master death identically whether
+  // fast-forward or slot-by-slot stepping runs the slots around it, with
+  // the ack wire off and on (planned slots then carry ack bits in every
+  // distribution packet).
+  for (const bool acks : {false, true}) {
+    SCOPED_TRACE(acks ? "with acks" : "without acks");
+    EXPECT_EQ(master_kill_run(true, acks, -1, 0),
+              master_kill_run(false, acks, -1, 0));
+    for (std::int64_t i = 0; i < 40; ++i) {
+      const std::int64_t slot = 40 + 23 * i;
+      SCOPED_TRACE("kill at slot " + std::to_string(slot));
+      EXPECT_EQ(master_kill_run(true, acks, slot, i % 9),
+                master_kill_run(false, acks, slot, i % 9));
+    }
+  }
+}
+
 TEST(Planner, OnVsOffByteIdenticalWhenNeverEngaged) {
   // With a fault hook attached before any admission the plan never
   // builds, so planner on/off must be byte-identical -- the sweep's
