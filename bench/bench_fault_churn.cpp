@@ -20,7 +20,7 @@
 // E22c  determinism: a churn-axis grid (churns = 0 and a live cell)
 //       must serialise to byte-identical JSON with 1 and 8 worker
 //       threads AND with fast-forward on and off -- the monitor is a
-//       ResilienceHook, so the idle fast-forward stays enabled and must
+//       net::SlotHook, so the idle fast-forward stays enabled and must
 //       stay bit-exact through detection windows and re-admission
 //       drains (exit 1 otherwise).
 //

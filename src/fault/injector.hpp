@@ -104,7 +104,7 @@ class FaultInjector final : public net::FaultHook {
   /// event.  Same-timestamp entries keep their scheduling order (the
   /// FIFO tie-break the simulator's event queue applies), so the view
   /// predicts exactly the order the events will fire in -- the contract
-  /// ResilienceHook::next_deadline_slot needs when a link event precedes
+  /// SlotHook::next_deadline_slot needs when a link event precedes
   /// a node event in the same slot.
   [[nodiscard]] std::vector<FaultEvent> scheduled_events() const;
 

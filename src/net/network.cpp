@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "net/ccredf_protocol.hpp"
 #include "ring/segment.hpp"
@@ -27,6 +28,14 @@ std::unique_ptr<phy::RingPhy> make_phy(const NetworkConfig& cfg) {
   return std::make_unique<phy::RingPhy>(cfg.link, cfg.nodes,
                                         cfg.link_length_m);
 }
+
+/// add_slot_observer's adapter: the default skip window, so the lambda
+/// sees every slot.
+struct ObserverHook final : SlotHook {
+  explicit ObserverHook(Network::SlotObserver f) : fn(std::move(f)) {}
+  void on_slot_end(const SlotRecord& rec) override { fn(rec); }
+  Network::SlotObserver fn;
+};
 }  // namespace
 
 Network::Network(NetworkConfig cfg)
@@ -119,6 +128,26 @@ Network::Network(NetworkConfig cfg)
 Node& Network::node(NodeId id) {
   CCREDF_EXPECT(id < nodes_.size(), "Network: node index out of range");
   return nodes_[id];
+}
+
+void Network::add_slot_hook(SlotHook* hook) {
+  hooks_.insert(hooks_.end() - (resilience_ != nullptr ? 1 : 0), hook);
+}
+
+void Network::remove_slot_hook(SlotHook* hook) { std::erase(hooks_, hook); }
+
+void Network::add_slot_observer(SlotObserver obs) {
+  owned_hooks_.push_back(std::make_unique<ObserverHook>(std::move(obs)));
+  add_slot_hook(owned_hooks_.back().get());
+}
+
+void Network::set_resilience_hook(SlotHook* hook) {
+  remove_slot_hook(resilience_);
+  resilience_ = hook;
+  if (hook != nullptr) {
+    hooks_.push_back(hook);
+    mark_plan_diverged();
+  }
 }
 
 NodeSet Network::broadcast_dests(NodeId src) const {
@@ -744,8 +773,7 @@ void Network::collect_requests(std::vector<core::Request>& reqs) {
 }
 
 void Network::step_slot() {
-  if (!observers_.empty() || resilience_ != nullptr ||
-      fault_hook_ != nullptr || cfg_.with_acks) {
+  if (!hooks_.empty() || fault_hook_ != nullptr || cfg_.with_acks) {
     step_slot<true>();
   } else {
     step_slot<false>();
@@ -892,11 +920,7 @@ void Network::step_slot() {
   ++slot_;
 
   if constexpr (kObserved) {
-    for (const auto& obs : observers_) obs(rec);
-    // The resilience hook runs LAST: it may mutate the network
-    // (quarantine closes, staged re-opens), and the observers above must
-    // see the slot as it actually ran.
-    if (resilience_ != nullptr) resilience_->on_slot_end(rec);
+    for (SlotHook* h : hooks_) h->on_slot_end(rec);
   }
 }
 
@@ -1070,7 +1094,7 @@ std::int64_t Network::try_fast_forward(std::int64_t max_slots,
   // keeps the clock, nobody transmits": nothing is in flight (no grants,
   // no ack/NACK bits), the master is alive (a dead master is the
   // token-loss path), the protocol keeps the master on such a slot, and
-  // nobody observes per-slot artefacts.
+  // no slot trace is recorded.
   if (!current_granted_.empty()) return 0;
   // Plan decision source: the cursor waits, whatever the queues hold,
   // until the next bundle's release instant.  Table releases due inside
@@ -1083,9 +1107,7 @@ std::int64_t Network::try_fast_forward(std::int64_t max_slots,
   if (decided_until <= slot_start_) return 0;
   if (!pending_acks_.empty() || !pending_nacks_.empty()) return 0;
   if (soa_.failed.contains(master_)) return 0;
-  if (!observers_.empty() || trace_.enabled(sim::TraceCategory::kSlot)) {
-    return 0;
-  }
+  if (trace_.enabled(sim::TraceCategory::kSlot)) return 0;
   if (!protocol_->idle_keeps_master()) return 0;
   if (!planned) {
     // TCMA decision source: an all-idle slot is the arbitration fixed
@@ -1121,6 +1143,15 @@ std::int64_t Network::try_fast_forward(std::int64_t max_slots,
   const std::int64_t until_event =
       idle_starts_before(sim_.next_event_time(), t_slot, step);
   std::int64_t k = std::min({max_slots, until_decided, until_event});
+  // Every slot hook bounds the skip by its own deadlines (a detection
+  // window expiring, a barrier flag to collect, a health window to
+  // close): the bounding slot itself is always simulated, so no hook
+  // transition can fall inside a skipped window.
+  for (SlotHook* h : hooks_) {
+    if (k <= 0) return 0;
+    k = std::min<std::int64_t>(k, h->next_deadline_slot(slot_, slot_ + k) -
+                                      slot_);
+  }
   if (fault_hook_ != nullptr) {
     // With fault axes armed, fall back to batched keyed probes: the hook
     // reports the first slot in range that could fire.  The draws stay
@@ -1128,14 +1159,6 @@ std::int64_t Network::try_fast_forward(std::int64_t max_slots,
     const SlotIndex quiet =
         fault_hook_->first_idle_fault_slot(slot_, slot_ + k);
     k = std::min<std::int64_t>(k, quiet - slot_);
-  }
-  if (resilience_ != nullptr) {
-    // The resilience hook bounds the skip by its own deadlines (a
-    // detection window expiring, a reappearance to witness, an eligible
-    // re-admission): the bounding slot itself is always simulated, so no
-    // monitor transition can fall inside a skipped window.
-    const SlotIndex safe = resilience_->next_deadline_slot(slot_, slot_ + k);
-    k = std::min<std::int64_t>(k, safe - slot_);
   }
   if (k <= 0) return 0;
 
@@ -1157,15 +1180,19 @@ std::int64_t Network::try_fast_forward(std::int64_t max_slots,
   const SlotIndex first = slot_;
   slot_ += k;
   slot_start_ = last_end + g;
-  if (resilience_ != nullptr) {
-    // Batch heartbeat advance: every skipped slot evidenced the same
-    // live set (no event could change it inside the window).
-    resilience_->on_fast_forward(first, k, topo_.all_nodes() & ~soa_.failed);
-  }
+  // Every skipped slot evidenced the same live set (no event could change
+  // it inside the window).
+  const NodeSet heard = topo_.all_nodes() & ~soa_.failed;
+  for (SlotHook* h : hooks_) h->on_fast_forward(first, k, heard);
   return k;
 }
 
 bool Network::can_plan_admit() const {
+  // The planner's grant layout assumes an intact ring, so a severed
+  // segment keeps the engine on slot-by-slot TCMA until spliced whole.
+  // A plan anchors on a clean slot boundary: no grant in flight, no
+  // message already queued (the plan's feasibility sim assumes every job
+  // is released by its nominal instant and none earlier).
   return planner_ != nullptr && protocol_->supports_planning() &&
          fault_hook_ == nullptr && resilience_ == nullptr && cbs_.empty() &&
          soa_.failed.empty() && severed_.empty() &&
@@ -1178,16 +1205,7 @@ void Network::rebuild_plan() {
   plan_restore_releases();
   plan_valid_ = false;
   plan_diverged_ = false;
-  if (planner_ == nullptr || !protocol_->supports_planning()) return;
-  if (fault_hook_ != nullptr || resilience_ != nullptr) return;
-  if (!cbs_.empty() || !soa_.failed.empty()) return;
-  // The planner's grant layout assumes an intact ring; a severed segment
-  // keeps the engine on slot-by-slot TCMA until spliced whole.
-  if (!severed_.empty()) return;
-  // A plan anchors on a clean slot boundary: no grant in flight, no
-  // message already queued (the plan's feasibility sim assumes every
-  // job is released by its nominal instant and none earlier).
-  if (!current_granted_.empty() || !soa_.queued.empty()) return;
+  if (!can_plan_admit()) return;
   const sim::Duration t_slot = timing_->slot();
   planner_->clear();
   bool any = false;

@@ -59,10 +59,10 @@
 
 namespace ccredf::net {
 
-/// Everything that happened in one slot, handed to observers at slot end.
-/// The network reuses one record object across slots (its vectors keep
-/// their capacity, so the steady-state slot path never allocates); copy
-/// whatever must outlive the observer call.
+/// Everything that happened in one slot, handed to the slot hooks at slot
+/// end.  The network reuses one record object across slots (its vectors
+/// keep their capacity, so the steady-state slot path never allocates);
+/// copy whatever must outlive the hook call.
 struct SlotRecord {
   SlotIndex index = 0;
   sim::TimePoint start;
@@ -181,31 +181,35 @@ class FaultHook {
   }
 };
 
-/// Protocol-level resilience hook (services::ResilienceMonitor).
+/// Per-slot engine hook: the one way anything observes the slot cycle
+/// (the services, add_slot_observer lambdas, services::ResilienceMonitor).
 ///
-/// Unlike a SlotObserver -- whose mere presence disables the idle
-/// fast-forward -- a ResilienceHook is a first-class engine citizen: it
-/// receives per-slot heartbeat evidence, is consulted for the first slot
-/// it MUST see simulated (detection deadlines, re-admission drains), and
-/// is batch-notified about skipped idle windows so its bookkeeping stays
-/// byte-identical between the fast-forward and slot-by-slot engines.
-class ResilienceHook {
+/// Skip-window contract: the engine asks every attached hook for the
+/// first slot it must see simulated and never fast-forwards across it,
+/// then batch-notifies every hook about the skipped stretch.  As with
+/// FaultHook::first_idle_fault_slot the defaults are conservative: a hook
+/// that overrides only on_slot_end sees every slot, because nothing is
+/// skipped while it is attached.  The engine holds the hook's address,
+/// so hooks are non-copyable.
+class SlotHook {
  public:
-  virtual ~ResilienceHook() = default;
-  /// End-of-slot notification (after the observers).  `rec.heard`
-  /// carries the heartbeat evidence; the hook may mutate the network
-  /// (quarantine closes, staged re-opens) -- the slot is already over.
+  SlotHook() = default;
+  SlotHook(const SlotHook&) = delete;
+  SlotHook& operator=(const SlotHook&) = delete;
+  virtual ~SlotHook() = default;
+  /// End-of-slot notification; the slot is already over.
   virtual void on_slot_end(const SlotRecord& rec) = 0;
-  /// `k` idle slots [first, first + k) were skipped; `heard` is the
-  /// constant live set every one of them evidenced (fast-forward
-  /// guarantees no event, fault or master death inside the window).
-  virtual void on_fast_forward(SlotIndex first, std::int64_t k,
-                               NodeSet heard) = 0;
+  /// `k` idle slots [first, first + k) were skipped: no grant, delivery,
+  /// event, fault or master death fell inside, and `heard` is the live
+  /// set every one of them evidenced.
+  virtual void on_fast_forward(SlotIndex /*first*/, std::int64_t /*k*/,
+                               NodeSet /*heard*/) {}
   /// First slot in [from, limit] this hook must observe simulated, or
-  /// `limit` when the whole range needs nothing.  The engine never
-  /// fast-forwards across the returned slot.
+  /// `limit` when the whole range needs nothing.
   [[nodiscard]] virtual SlotIndex next_deadline_slot(SlotIndex from,
-                                                     SlotIndex limit) = 0;
+                                                     SlotIndex /*limit*/) {
+    return from;
+  }
 };
 
 class Network {
@@ -290,25 +294,28 @@ class Network {
   void run_for(sim::Duration d);
 
   // -- instrumentation ------------------------------------------------------
+  /// Attaches `hook` (not owned; it must detach before it dies).  Hooks
+  /// run in attachment order, all before the resilience hook.  Hooks may
+  /// not attach or detach from inside a hook call.
+  void add_slot_hook(SlotHook* hook);
+  void remove_slot_hook(SlotHook* hook);
+  /// Attaches `obs` as a network-owned hook with the conservative skip
+  /// window: it sees every slot.
   using SlotObserver = std::function<void(const SlotRecord&)>;
-  void add_slot_observer(SlotObserver obs) {
-    observers_.push_back(std::move(obs));
-  }
+  void add_slot_observer(SlotObserver obs);
   /// Attaching a fault hook diverges any in-effect hypercycle plan: the
   /// plan's precomputed outcomes no longer model the wire.
   void set_fault_hook(FaultHook* hook) {
     fault_hook_ = hook;
     if (hook != nullptr) mark_plan_diverged();
   }
-  /// Attaches the resilience hook (one at a time; nullptr detaches).
-  /// Same divergence rule as the fault hook: a monitor may quarantine.
-  void set_resilience_hook(ResilienceHook* hook) {
-    resilience_ = hook;
-    if (hook != nullptr) mark_plan_diverged();
-  }
-  [[nodiscard]] ResilienceHook* resilience_hook() const {
-    return resilience_;
-  }
+  /// Attaches the resilience hook (one at a time; nullptr detaches).  It
+  /// runs after every other hook, because it may mutate the network
+  /// (quarantine closes, staged re-opens) and the others must see the
+  /// slot as it actually ran.  Same divergence rule as the fault hook: a
+  /// monitor may quarantine.
+  void set_resilience_hook(SlotHook* hook);
+  [[nodiscard]] SlotHook* resilience_hook() const { return resilience_; }
 
   /// Fail-silent node (fault experiments); queued messages are dropped.
   /// Idempotent: failing an already-failed node is a no-op (no queue
@@ -437,8 +444,8 @@ class Network {
   void run(std::int64_t n, sim::TimePoint horizon);
   /// One slot of the pipeline (release -> execute -> collect/decide ->
   /// close); dispatches to the instantiation that refreshes the
-  /// SlotRecord only when something reads it (observers, the resilience
-  /// hook, the fault hook or the ack wire).
+  /// SlotRecord only when something reads it (a slot hook, the fault hook
+  /// or the ack wire).
   void step_slot();
   template <bool kObserved>
   void step_slot();
@@ -475,13 +482,14 @@ class Network {
   /// slot start that can grant it).
   [[nodiscard]] sim::TimePoint plan_next_eligible_time() const;
   /// Re-derives the plan from the open connection set (admit/close
-  /// time).  The plan only builds from a clean engine state: CCR-EDF,
-  /// no hooks, no CBS, no failed nodes, no in-flight grants or queued
-  /// messages, and every connection still unreleased and grid-aligned;
-  /// otherwise the engine stays on slot-by-slot TCMA.
+  /// time).  The plan only builds from a clean engine state
+  /// (can_plan_admit) with every connection still unreleased and
+  /// grid-aligned; otherwise the engine stays on slot-by-slot TCMA.
   void rebuild_plan();
-  /// Whether a rejected admission may be retried through the planner's
-  /// constructive feasibility proof.
+  /// Whether the engine state is clean enough to build a plan: CCR-EDF,
+  /// no fault or resilience hook, no CBS, no failed node or cut, no
+  /// grant in flight, nothing queued.  Also gates retrying a rejected
+  /// admission through the planner's constructive feasibility proof.
   [[nodiscard]] bool can_plan_admit() const;
   /// Sticky divergence: the plan stays valid but stops driving slots
   /// until the next successful rebuild.  Release generation falls back
@@ -554,9 +562,12 @@ class Network {
   sim::Simulator sim_;
   sim::Trace trace_;
   std::vector<Node> nodes_;
-  std::vector<SlotObserver> observers_;
+  /// Attached hooks in notification order; the resilience hook, when
+  /// attached, is the last entry.
+  std::vector<SlotHook*> hooks_;
+  std::vector<std::unique_ptr<SlotHook>> owned_hooks_;  // observer adapters
   FaultHook* fault_hook_ = nullptr;
-  ResilienceHook* resilience_ = nullptr;
+  SlotHook* resilience_ = nullptr;
 
   // Severed-segment state (empty/false on a healthy ring).
   LinkSet severed_;

@@ -1,5 +1,6 @@
 #include "services/admission_agent.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -24,8 +25,7 @@ AdmissionAgent::AdmissionAgent(net::Network& net, Params params)
     node_corrupt_.assign(net_.nodes(), 0);
     node_rate_.assign(net_.nodes(), 0.0);
   }
-  net_.add_slot_observer(
-      [this](const net::SlotRecord& rec) { on_slot(rec); });
+  net_.add_slot_hook(this);
 }
 
 void AdmissionAgent::decide(PendingRequest req) {
@@ -63,7 +63,7 @@ void AdmissionAgent::request(NodeId requester,
   awaiting_arrival_.emplace(msg, std::move(req));
 }
 
-void AdmissionAgent::on_slot(const net::SlotRecord& rec) {
+void AdmissionAgent::on_slot_end(const net::SlotRecord& rec) {
   for (const core::Delivery& d : rec.deliveries) {
     if (const auto it = awaiting_arrival_.find(d.id);
         it != awaiting_arrival_.end()) {
@@ -81,6 +81,18 @@ void AdmissionAgent::on_slot(const net::SlotRecord& rec) {
     }
   }
   if (params_.health_window_slots > 0) observe(rec);
+}
+
+void AdmissionAgent::on_fast_forward(SlotIndex /*first*/, std::int64_t k,
+                                     NodeSet /*heard*/) {
+  window_slots_ += k;  // an idle slot completes no transfer
+}
+
+SlotIndex AdmissionAgent::next_deadline_slot(SlotIndex from,
+                                             SlotIndex limit) {
+  if (params_.health_window_slots == 0) return limit;
+  return std::min(limit,
+                  from + params_.health_window_slots - 1 - window_slots_);
 }
 
 void AdmissionAgent::observe(const net::SlotRecord& rec) {

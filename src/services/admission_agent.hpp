@@ -33,7 +33,7 @@
 
 namespace ccredf::services {
 
-class AdmissionAgent {
+class AdmissionAgent : private net::SlotHook {
  public:
   using Callback = std::function<void(bool admitted, ConnectionId id)>;
 
@@ -51,7 +51,9 @@ class AdmissionAgent {
     double derate_threshold = 0.02;
   };
 
+  /// Attaches to `net` as a slot hook; `net` must outlive the agent.
   AdmissionAgent(net::Network& net, Params params);
+  ~AdmissionAgent() override { net_.remove_slot_hook(this); }
 
   /// Starts a negotiation; `cb` fires when the reply reaches `requester`.
   /// A requester co-located with the admission node skips the exchange
@@ -85,7 +87,14 @@ class AdmissionAgent {
     Callback cb;
   };
 
-  void on_slot(const net::SlotRecord& rec);
+  // net::SlotHook: requests and replies arrive only in granted slots,
+  // which fast-forward never skips; with the health monitor on, the slot
+  // that closes the window must run (it may renegotiate U_max), and the
+  // skipped idle slots only count towards the window.
+  void on_slot_end(const net::SlotRecord& rec) override;
+  void on_fast_forward(SlotIndex first, std::int64_t k,
+                       NodeSet heard) override;
+  SlotIndex next_deadline_slot(SlotIndex from, SlotIndex limit) override;
   void decide(PendingRequest req);
   void observe(const net::SlotRecord& rec);
   void close_window();

@@ -6,8 +6,7 @@ namespace ccredf::services {
 
 BarrierService::BarrierService(net::Network& net)
     : net_(net), arrival_(net.nodes(), sim::TimePoint::infinity()) {
-  net_.add_slot_observer(
-      [this](const net::SlotRecord& rec) { on_slot(rec); });
+  net_.add_slot_hook(this);
 }
 
 void BarrierService::begin(NodeSet participants) {
@@ -32,19 +31,24 @@ void BarrierService::arrive(NodeId node) {
   }
 }
 
-sim::TimePoint BarrierService::sample_time(const net::SlotRecord& rec,
-                                           NodeId node) const {
-  return rec.start +
-         net_.control_timing().sample_offset_of(rec.master, node);
+SlotIndex BarrierService::next_deadline_slot(SlotIndex from,
+                                             SlotIndex limit) {
+  for (const NodeId n : pending_) {
+    if (arrival_[n] != sim::TimePoint::infinity()) return from;
+  }
+  return limit;
 }
 
-void BarrierService::on_slot(const net::SlotRecord& rec) {
+void BarrierService::on_slot_end(const net::SlotRecord& rec) {
   if (!active_) return;
   // The master collects the flag of every participant whose arrival
   // preceded its sampling instant in this slot.
   NodeSet still_pending;
+  const core::ControlTiming& ct = net_.control_timing();
   for (const NodeId n : pending_) {
-    if (arrival_[n] > sample_time(rec, n)) still_pending.insert(n);
+    if (arrival_[n] > rec.start + ct.sample_offset_of(rec.master, n)) {
+      still_pending.insert(n);
+    }
   }
   pending_ = still_pending;
   if (pending_.empty()) {

@@ -21,11 +21,11 @@
 
 namespace ccredf::services {
 
-class BarrierService {
+class BarrierService : private net::SlotHook {
  public:
-  /// Registers the service on `net` (slot observer).  `net` must outlive
-  /// the service.
+  /// Attaches to `net` as a slot hook; `net` must outlive the service.
   explicit BarrierService(net::Network& net);
+  ~BarrierService() override { net_.remove_slot_hook(this); }
 
   /// Starts a new barrier over `participants`.  Any previous barrier must
   /// have completed.
@@ -45,10 +45,11 @@ class BarrierService {
   [[nodiscard]] std::int64_t barriers_completed() const { return rounds_; }
 
  private:
-  void on_slot(const net::SlotRecord& rec);
-  /// Collection sampling instant of `node` in the slot described by `rec`.
-  [[nodiscard]] sim::TimePoint sample_time(const net::SlotRecord& rec,
-                                           NodeId node) const;
+  // net::SlotHook: a raised flag is collected by an upcoming slot, which
+  // must run; flags not yet raised arrive through a sim event or between
+  // run calls, and both end a skip.
+  void on_slot_end(const net::SlotRecord& rec) override;
+  SlotIndex next_deadline_slot(SlotIndex from, SlotIndex limit) override;
 
   net::Network& net_;
   NodeSet participants_;

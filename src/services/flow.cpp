@@ -7,8 +7,7 @@ namespace ccredf::services {
 CreditFlowControl::CreditFlowControl(net::Network& net, int window)
     : net_(net), window_(window) {
   CCREDF_EXPECT(window >= 1, "CreditFlowControl: window must be >= 1");
-  net_.add_slot_observer(
-      [this](const net::SlotRecord& rec) { on_slot(rec); });
+  net_.add_slot_hook(this);
 }
 
 int CreditFlowControl::credits(NodeId src, NodeId dst) const {
@@ -43,7 +42,7 @@ bool CreditFlowControl::send(NodeId src, NodeId dst, std::int64_t size_slots,
   return false;
 }
 
-void CreditFlowControl::on_slot(const net::SlotRecord& rec) {
+void CreditFlowControl::on_slot_end(const net::SlotRecord& rec) {
   // Credits return one slot extent after delivery; processing at the next
   // slot boundary models the control-channel round trip conservatively.
   for (const core::Delivery& d : rec.deliveries) {

@@ -18,10 +18,12 @@
 
 namespace ccredf::services {
 
-class CreditFlowControl {
+class CreditFlowControl : private net::SlotHook {
  public:
-  /// `window` credits per (src, dst) pair.
+  /// `window` credits per (src, dst) pair.  Attaches to `net` as a slot
+  /// hook; `net` must outlive the service.
   CreditFlowControl(net::Network& net, int window);
+  ~CreditFlowControl() override { net_.remove_slot_hook(this); }
 
   /// Sends when a credit is available, otherwise queues the message; the
   /// queue drains automatically as credits return.  Returns true when the
@@ -40,7 +42,12 @@ class CreditFlowControl {
   };
   using Pair = std::pair<NodeId, NodeId>;
 
-  void on_slot(const net::SlotRecord& rec);
+  // net::SlotHook: deliveries exist only in granted slots, which
+  // fast-forward never skips, so no idle slot needs to be simulated.
+  void on_slot_end(const net::SlotRecord& rec) override;
+  SlotIndex next_deadline_slot(SlotIndex, SlotIndex limit) override {
+    return limit;
+  }
   void dispatch(NodeId src, NodeId dst, const PendingSend& p);
 
   net::Network& net_;

@@ -6,8 +6,7 @@ namespace ccredf::services {
 
 Messenger::Messenger(net::Network& net)
     : net_(net), handlers_(net.nodes()) {
-  net_.add_slot_observer(
-      [this](const net::SlotRecord& rec) { on_slot(rec); });
+  net_.add_slot_hook(this);
 }
 
 void Messenger::set_handler(NodeId node, Handler h) {
@@ -50,7 +49,7 @@ MessageId Messenger::send_short(NodeId src, NodeId dst,
                     relative_deadline);
 }
 
-void Messenger::on_slot(const net::SlotRecord& rec) {
+void Messenger::on_slot_end(const net::SlotRecord& rec) {
   for (const core::Delivery& d : rec.deliveries) {
     const auto it = payloads_.find(d.id);
     if (it == payloads_.end()) continue;

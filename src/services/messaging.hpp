@@ -20,7 +20,7 @@
 
 namespace ccredf::services {
 
-class Messenger {
+class Messenger : private net::SlotHook {
  public:
   struct Received {
     MessageId id = 0;
@@ -31,7 +31,9 @@ class Messenger {
   };
   using Handler = std::function<void(NodeId self, const Received&)>;
 
+  /// Attaches to `net` as a slot hook; `net` must outlive the messenger.
   explicit Messenger(net::Network& net);
+  ~Messenger() override { net_.remove_slot_hook(this); }
 
   /// Receive handler for `node` (one per node).
   void set_handler(NodeId node, Handler h);
@@ -60,7 +62,12 @@ class Messenger {
   [[nodiscard]] std::int64_t messages_received() const { return received_; }
 
  private:
-  void on_slot(const net::SlotRecord& rec);
+  // net::SlotHook: deliveries exist only in granted slots, which
+  // fast-forward never skips, so no idle slot needs to be simulated.
+  void on_slot_end(const net::SlotRecord& rec) override;
+  SlotIndex next_deadline_slot(SlotIndex, SlotIndex limit) override {
+    return limit;
+  }
 
   net::Network& net_;
   std::vector<Handler> handlers_;

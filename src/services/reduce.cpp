@@ -43,8 +43,7 @@ GlobalReduceService::GlobalReduceService(net::Network& net)
     : net_(net),
       value_(net.nodes(), 0),
       contributed_(net.nodes(), sim::TimePoint::infinity()) {
-  net_.add_slot_observer(
-      [this](const net::SlotRecord& rec) { on_slot(rec); });
+  net_.add_slot_hook(this);
 }
 
 void GlobalReduceService::begin(NodeSet participants, ReduceOp op) {
@@ -71,17 +70,20 @@ void GlobalReduceService::contribute(NodeId node, std::int64_t value) {
   }
 }
 
-sim::TimePoint GlobalReduceService::sample_time(const net::SlotRecord& rec,
-                                                NodeId node) const {
-  return rec.start +
-         net_.control_timing().sample_offset_of(rec.master, node);
+SlotIndex GlobalReduceService::next_deadline_slot(SlotIndex from,
+                                                  SlotIndex limit) {
+  for (const NodeId n : pending_) {
+    if (contributed_[n] != sim::TimePoint::infinity()) return from;
+  }
+  return limit;
 }
 
-void GlobalReduceService::on_slot(const net::SlotRecord& rec) {
+void GlobalReduceService::on_slot_end(const net::SlotRecord& rec) {
   if (!active_) return;
   NodeSet still_pending;
+  const core::ControlTiming& ct = net_.control_timing();
   for (const NodeId n : pending_) {
-    if (contributed_[n] > sample_time(rec, n)) {
+    if (contributed_[n] > rec.start + ct.sample_offset_of(rec.master, n)) {
       still_pending.insert(n);
     } else {
       accumulator_ = apply_reduce(op_, accumulator_, value_[n]);

@@ -24,9 +24,11 @@ enum class ReduceOp { kSum, kMin, kMax, kBitAnd, kBitOr };
                                         std::int64_t b);
 [[nodiscard]] std::int64_t reduce_identity(ReduceOp op);
 
-class GlobalReduceService {
+class GlobalReduceService : private net::SlotHook {
  public:
+  /// Attaches to `net` as a slot hook; `net` must outlive the service.
   explicit GlobalReduceService(net::Network& net);
+  ~GlobalReduceService() override { net_.remove_slot_hook(this); }
 
   /// Starts a reduction round over `participants` with operator `op`.
   void begin(NodeSet participants, ReduceOp op);
@@ -42,9 +44,10 @@ class GlobalReduceService {
   [[nodiscard]] std::int64_t rounds_completed() const { return rounds_; }
 
  private:
-  void on_slot(const net::SlotRecord& rec);
-  [[nodiscard]] sim::TimePoint sample_time(const net::SlotRecord& rec,
-                                           NodeId node) const;
+  // net::SlotHook: the same skip window as BarrierService's -- only a
+  // contribution made and not yet collected pins the engine.
+  void on_slot_end(const net::SlotRecord& rec) override;
+  SlotIndex next_deadline_slot(SlotIndex from, SlotIndex limit) override;
 
   net::Network& net_;
   NodeSet participants_;

@@ -23,8 +23,14 @@ ReliableChannel::ReliableChannel(net::Network& net, Params params)
           "FaultInjector::set_data_ber with with_payload_crc");
     });
   }
-  net_.add_slot_observer(
-      [this](const net::SlotRecord& rec) { on_slot(rec); });
+  net_.add_slot_hook(this);
+}
+
+ReliableChannel::~ReliableChannel() {
+  net_.remove_slot_hook(this);
+  for (const auto& [id, t] : live_) {
+    if (t.timeout_event) net_.sim().cancel(*t.timeout_event);
+  }
 }
 
 sim::Duration ReliableChannel::timeout() const {
@@ -115,7 +121,7 @@ ReliableChannel::Transfer* ReliableChannel::claim_attempt(MessageId id) {
   return &t;
 }
 
-void ReliableChannel::on_slot(const net::SlotRecord& rec) {
+void ReliableChannel::on_slot_end(const net::SlotRecord& rec) {
   for (const core::Delivery& d : rec.deliveries) {
     Transfer* tp = claim_attempt(d.id);
     if (tp == nullptr) continue;
@@ -155,6 +161,7 @@ void ReliableChannel::on_resolve(MessageId transfer_id) {
   const auto it = live_.find(transfer_id);
   if (it == live_.end()) return;
   Transfer& t = it->second;
+  t.timeout_event.reset();
   if (params_.max_attempts > 0 && t.attempts >= params_.max_attempts) {
     finish(t, false, false, net_.sim().now());
     return;

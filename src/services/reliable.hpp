@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 
 #include "common/nodeset.hpp"
@@ -29,7 +30,7 @@
 
 namespace ccredf::services {
 
-class ReliableChannel {
+class ReliableChannel : private net::SlotHook {
  public:
   struct Params {
     /// DEPRECATED: probability a transfer is synthetically corrupted
@@ -72,7 +73,10 @@ class ReliableChannel {
   };
   using CompletionCallback = std::function<void(const TransferResult&)>;
 
+  /// Attaches to `net` as a slot hook; `net` must outlive the channel.
   ReliableChannel(net::Network& net, Params params);
+  /// Detaches and cancels the pending ack timeouts.
+  ~ReliableChannel() override;
 
   /// Sends `size_slots` of data from `src` to `dst` reliably as
   /// best-effort traffic; `cb` fires on final success or failure.
@@ -104,11 +108,17 @@ class ReliableChannel {
     sim::TimePoint deadline;
     int attempts = 0;
     MessageId current_attempt = 0;
-    sim::EventId timeout_event = 0;
+    /// Pending ack-timeout / NACK-resolve event, if any.
+    std::optional<sim::EventId> timeout_event;
     CompletionCallback cb;
   };
 
-  void on_slot(const net::SlotRecord& rec);
+  // net::SlotHook: transfers complete only in granted slots, which
+  // fast-forward never skips, so no idle slot needs to be simulated.
+  void on_slot_end(const net::SlotRecord& rec) override;
+  SlotIndex next_deadline_slot(SlotIndex, SlotIndex limit) override {
+    return limit;
+  }
   void attempt(Transfer& t);
   /// Fires when the sender learns an attempt failed (ack timeout or
   /// NACK arrival): retransmit, or abandon if the budget ran out.

@@ -38,8 +38,9 @@
 // single cut), and parks the closed entries until their links are
 // spliced -- then the same token bucket stages their re-admission.
 //
-// Determinism: the monitor is a net::ResilienceHook, not a SlotObserver,
-// so the engine's idle fast-forward stays enabled.  next_deadline_slot()
+// Determinism: the monitor is the network's resilience hook (a
+// net::SlotHook that runs after every other hook), and its skip window
+// keeps the engine's idle fast-forward enabled.  next_deadline_slot()
 // bounds every skip at the earliest slot where a suspect/down transition
 // or an eligible re-admission drain could occur, and on_fast_forward()
 // batch-advances the bookkeeping for the skipped window -- byte-identical
@@ -133,7 +134,7 @@ struct ResilienceStats {
   double reclaim_error = 0.0;
 };
 
-class ResilienceMonitor final : public net::ResilienceHook {
+class ResilienceMonitor final : public net::SlotHook {
  public:
   enum class NodeState : std::uint8_t { kUp, kSuspect, kDown };
 
@@ -142,9 +143,6 @@ class ResilienceMonitor final : public net::ResilienceHook {
   /// `net` must outlive the monitor.
   ResilienceMonitor(net::Network& net, ResilienceParams params);
   ~ResilienceMonitor() override;
-
-  ResilienceMonitor(const ResilienceMonitor&) = delete;
-  ResilienceMonitor& operator=(const ResilienceMonitor&) = delete;
 
   [[nodiscard]] const ResilienceParams& params() const { return params_; }
   [[nodiscard]] const ResilienceStats& stats() const { return stats_; }
@@ -169,7 +167,7 @@ class ResilienceMonitor final : public net::ResilienceHook {
   /// themselves.
   [[nodiscard]] ConnectionId current_incarnation(ConnectionId id) const;
 
-  // net::ResilienceHook
+  // net::SlotHook
   void on_slot_end(const net::SlotRecord& rec) override;
   void on_fast_forward(SlotIndex first, std::int64_t k,
                        NodeSet heard) override;
