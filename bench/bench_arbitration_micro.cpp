@@ -230,20 +230,12 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = ccredf::bench::extract_json_path(argc, argv);
+  auto h = ccredf::bench::Harness::with_foreign_flags("arbitration_micro",
+                                                      argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ccredf::bench::JsonDoc doc("arbitration_micro");
-  CollectingReporter reporter(&doc);
+  CollectingReporter reporter(&h.doc());
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  if (!json_path.empty()) {
-    if (!doc.write(json_path)) {
-      std::cerr << "bench_arbitration_micro: cannot write " << json_path
-                << "\n";
-      return 1;
-    }
-    std::cout << "wrote " << json_path << "\n";
-  }
-  return 0;
+  return h.finish(/*announce=*/true);
 }

@@ -21,17 +21,13 @@
 //       8 worker threads (exit 1 otherwise).
 //
 // Flags: --quick (short horizon), --json <path>
-// (BENCH_cbs_fairness.json).  bench/cbs_floors.json pins the Jain floor
-// for scripts/perf_floor_check.py.
+// (BENCH_cbs_fairness.json).
 #include "bench_common.hpp"
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "services/cbs.hpp"
-#include "sweep/report.hpp"
-#include "sweep/runner.hpp"
 #include "workload/aperiodic.hpp"
 
 using namespace ccredf;
@@ -150,10 +146,8 @@ IsolationRun run_case(bool with_cbs, std::int64_t horizon_slots) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = extract_json_path(argc, argv);
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  JsonDoc doc("cbs_fairness");
-  bool ok = true;
+  Harness h("cbs_fairness", argc, argv);
+  const bool quick = h.quick();
 
   header("E21", "CBS service class: hard-RT isolation and best-effort "
                 "fairness under saturation",
@@ -190,27 +184,21 @@ int main(int argc, char** argv) {
          "servers leaves the per-connection RT accounting byte-identical");
   a.print(std::cout);
 
-  doc.set("rt_digest_identical", digest_identical ? 1.0 : 0.0);
-  doc.set("rt_connections", static_cast<double>(alone.rt_admitted));
-  doc.set("rt_released", static_cast<double>(alone.rt_released));
-  doc.set("rt_sched_misses_alone",
-          static_cast<double>(alone.rt_sched_misses));
-  doc.set("rt_sched_misses_shared",
-          static_cast<double>(shared.rt_sched_misses));
-  doc.set("rt_user_misses_alone", static_cast<double>(alone.rt_user_misses));
-  doc.set("rt_user_misses_shared",
-          static_cast<double>(shared.rt_user_misses));
-  if (!digest_identical) {
-    std::cerr << "E21a FAIL: per-connection RT digest changed when the "
-                 "CBS population saturated the ring\n";
-    ok = false;
-  }
-  if (alone.rt_user_misses != 0 || shared.rt_user_misses != 0 ||
-      alone.rt_sched_misses != 0 || shared.rt_sched_misses != 0) {
-    std::cerr << "E21a FAIL: hard-RT set missed deadlines (expected a "
-                 "cleanly schedulable set in both runs)\n";
-    ok = false;
-  }
+  h.set("rt_digest_identical", digest_identical ? 1.0 : 0.0);
+  h.set("rt_connections", static_cast<double>(alone.rt_admitted));
+  h.set("rt_released", static_cast<double>(alone.rt_released));
+  h.set("rt_sched_misses_alone", static_cast<double>(alone.rt_sched_misses));
+  h.set("rt_sched_misses_shared", static_cast<double>(shared.rt_sched_misses));
+  h.set("rt_user_misses_alone", static_cast<double>(alone.rt_user_misses));
+  h.set("rt_user_misses_shared", static_cast<double>(shared.rt_user_misses));
+  h.gate("E21a", digest_identical,
+         "per-connection RT digest changed when the CBS population "
+         "saturated the ring");
+  h.gate("E21a",
+         alone.rt_user_misses == 0 && shared.rt_user_misses == 0 &&
+             alone.rt_sched_misses == 0 && shared.rt_sched_misses == 0,
+         "hard-RT set missed deadlines (expected a cleanly schedulable "
+         "set in both runs)");
 
   // -- E21b: fairness across the saturated flows --------------------------
   analysis::Table b("E21b: per-flow delivered bytes under saturation");
@@ -230,26 +218,19 @@ int main(int argc, char** argv) {
          std::to_string(shared.jain));
   b.print(std::cout);
 
-  doc.set("be_flows", static_cast<double>(shared.be_admitted));
-  doc.set("flows=8,jain_index", shared.jain);
-  doc.set("cbs_jobs", static_cast<double>(shared.cbs_jobs));
-  doc.set("cbs_delivered", static_cast<double>(shared.cbs_delivered));
-  doc.set("cbs_postponements", static_cast<double>(shared.postponements));
-  if (shared.be_admitted < kBeFlows) {
-    std::cerr << "E21b FAIL: only " << shared.be_admitted << " of "
-              << kBeFlows << " CBS servers admitted beside the RT set\n";
-    ok = false;
-  }
-  if (shared.jain < 0.9) {
-    std::cerr << "E21b FAIL: Jain index " << shared.jain
-              << " below the 0.9 fairness floor\n";
-    ok = false;
-  }
-  if (shared.postponements <= 0) {
-    std::cerr << "E21b FAIL: no budget-exhaustion postponements -- the "
-                 "saturation run never stressed the servers\n";
-    ok = false;
-  }
+  h.set("be_flows", static_cast<double>(shared.be_admitted));
+  h.set("flows=8,jain_index", shared.jain);
+  h.set("cbs_jobs", static_cast<double>(shared.cbs_jobs));
+  h.set("cbs_delivered", static_cast<double>(shared.cbs_delivered));
+  h.set("cbs_postponements", static_cast<double>(shared.postponements));
+  h.gate("E21b", shared.be_admitted >= kBeFlows, "only ",
+         shared.be_admitted, " of ", kBeFlows,
+         " CBS servers admitted beside the RT set");
+  h.gate("E21b", shared.jain >= 0.9, "Jain index ", shared.jain,
+         " below the 0.9 fairness floor");
+  h.gate("E21b", shared.postponements > 0,
+         "no budget-exhaustion postponements -- the saturation run never "
+         "stressed the servers");
 
   // -- E21c: thread-count determinism of the services axis ----------------
   sweep::GridSpec spec;
@@ -263,28 +244,7 @@ int main(int argc, char** argv) {
   spec.min_period_slots = 10;
   spec.max_period_slots = 120;
   spec.base_seed = 21;
-  const std::string json_1t =
-      sweep::to_json(sweep::run_sweep(spec, {.threads = 1}));
-  const std::string json_8t =
-      sweep::to_json(sweep::run_sweep(spec, {.threads = 8}));
-  const bool identical = json_1t == json_8t;
-  std::cout << "E21c: services-axis sweep 1-thread vs 8-thread JSON: "
-            << (identical ? "byte-identical" : "MISMATCH") << "\n";
-  doc.set("threads_json_identical", identical ? 1.0 : 0.0);
-  if (!identical) {
-    std::cerr << "E21c FAIL: services-axis sweep output depends on "
-                 "thread count\n";
-    ok = false;
-  }
-
-  doc.set("hardware_threads",
-          static_cast<double>(std::thread::hardware_concurrency()));
-
-  if (!json_path.empty()) {
-    if (!doc.write(json_path)) {
-      std::cerr << "bench_cbs_fairness: cannot write " << json_path << "\n";
-      return 1;
-    }
-  }
-  return ok ? 0 : 1;
+  h.sweep_determinism("E21c", "services-axis sweep", spec,
+                      /*with_fast_forward_leg=*/false);
+  return h.finish();
 }

@@ -34,8 +34,6 @@
 #include "fault/injector.hpp"
 #include "services/admission_agent.hpp"
 #include "services/reliable.hpp"
-#include "sweep/report.hpp"
-#include "sweep/runner.hpp"
 
 using namespace ccredf;
 using namespace ccredf::bench;
@@ -125,10 +123,8 @@ StrategyResult run_strategy(bool payload_crc, bool laxity_budgeted,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = extract_json_path(argc, argv);
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  JsonDoc doc("data_reliability");
-  bool ok = true;
+  Harness h("data_reliability", argc, argv);
+  const bool quick = h.quick();
 
   header("E19", "data-channel faults, laxity-budgeted ARQ and graceful "
                 "degradation",
@@ -169,20 +165,18 @@ int main(int argc, char** argv) {
          "-- a miss the application cannot even see");
   a.print(std::cout);
 
-  doc.set("arq_miss_ratio", arq.miss_ratio);
-  doc.set("fixed_miss_ratio", fixed.miss_ratio);
-  doc.set("nocrc_miss_ratio", nocrc.miss_ratio);
-  doc.set("arq_abandoned", static_cast<double>(arq.abandoned));
-  doc.set("arq_nacks", static_cast<double>(arq.nacks));
-  doc.set("arq_retx", static_cast<double>(arq.retx));
-  doc.set("fixed_retx", static_cast<double>(fixed.retx));
-  doc.set("nocrc_garbage", static_cast<double>(nocrc.garbage));
-  if (!(arq.miss_ratio < fixed.miss_ratio &&
-        arq.miss_ratio < nocrc.miss_ratio)) {
-    std::cerr << "E19a FAIL: crc+laxity-ARQ miss ratio not strictly below "
-                 "both baselines\n";
-    ok = false;
-  }
+  h.set("arq_miss_ratio", arq.miss_ratio);
+  h.set("fixed_miss_ratio", fixed.miss_ratio);
+  h.set("nocrc_miss_ratio", nocrc.miss_ratio);
+  h.set("arq_abandoned", static_cast<double>(arq.abandoned));
+  h.set("arq_nacks", static_cast<double>(arq.nacks));
+  h.set("arq_retx", static_cast<double>(arq.retx));
+  h.set("fixed_retx", static_cast<double>(fixed.retx));
+  h.set("nocrc_garbage", static_cast<double>(nocrc.garbage));
+  h.gate("E19a",
+         arq.miss_ratio < fixed.miss_ratio &&
+             arq.miss_ratio < nocrc.miss_ratio,
+         "crc+laxity-ARQ miss ratio not strictly below both baselines");
 
   // -- E19b: no undetected corruption at realistic BER --------------------
   const StrategyResult low =
@@ -190,12 +184,10 @@ int main(int argc, char** argv) {
   std::cout << "E19b: BER 1e-6 with payload CRC: "
             << low.garbage << " undetected corruptions ("
             << low.nacks << " detected+NACKed)\n\n";
-  doc.set("low_ber_undetected", static_cast<double>(low.garbage));
-  doc.set("low_ber_nacks", static_cast<double>(low.nacks));
-  if (low.garbage != 0) {
-    std::cerr << "E19b FAIL: undetected payload corruption at BER 1e-6\n";
-    ok = false;
-  }
+  h.set("low_ber_undetected", static_cast<double>(low.garbage));
+  h.set("low_ber_nacks", static_cast<double>(low.nacks));
+  h.gate("E19b", low.garbage == 0,
+         "undetected payload corruption at BER 1e-6");
 
   // -- E19c: graceful degradation of the admission bound ------------------
   const std::int64_t e19c_slots = quick ? 3'000 : 8'000;
@@ -230,10 +222,9 @@ int main(int argc, char** argv) {
         .cell(agent.renegotiations())
         .cell(agent.capacity_factor(), 4)
         .cell(n.admission().effective_u_max(), 4);
-    doc.set(std::string("derate_") + label + "_factor",
-            agent.capacity_factor());
-    doc.set(std::string("derate_") + label + "_effective_umax",
-            n.admission().effective_u_max());
+    h.set(std::string("derate_") + label + "_factor", agent.capacity_factor());
+    h.set(std::string("derate_") + label + "_effective_umax",
+          n.admission().effective_u_max());
     if (agent.capacity_factor() > prev_factor) monotone = false;
     prev_factor = agent.capacity_factor();
   }
@@ -242,12 +233,9 @@ int main(int argc, char** argv) {
          "ring sheds admission capacity instead of silently missing "
          "deadlines in degraded mode");
   c.print(std::cout);
-  doc.set("derate_monotone", monotone ? 1.0 : 0.0);
-  if (!monotone) {
-    std::cerr << "E19c FAIL: capacity factor not monotone along the BER "
-                 "axis\n";
-    ok = false;
-  }
+  h.set("derate_monotone", monotone ? 1.0 : 0.0);
+  h.gate("E19c", monotone,
+         "capacity factor not monotone along the BER axis");
 
   // -- E19d: thread-count determinism of the data-BER fault axis ----------
   sweep::GridSpec spec;
@@ -261,25 +249,7 @@ int main(int argc, char** argv) {
   spec.min_period_slots = 10;
   spec.max_period_slots = 120;
   spec.base_seed = 19;
-  const std::string json_1t =
-      sweep::to_json(sweep::run_sweep(spec, {.threads = 1}));
-  const std::string json_8t =
-      sweep::to_json(sweep::run_sweep(spec, {.threads = 8}));
-  const bool identical = json_1t == json_8t;
-  std::cout << "E19d: data-BER sweep 1-thread vs 8-thread JSON: "
-            << (identical ? "byte-identical" : "MISMATCH") << "\n";
-  doc.set("threads_json_identical", identical ? 1.0 : 0.0);
-  if (!identical) {
-    std::cerr << "E19d FAIL: sweep output depends on thread count\n";
-    ok = false;
-  }
-
-  if (!json_path.empty()) {
-    if (!doc.write(json_path)) {
-      std::cerr << "bench_data_reliability: cannot write " << json_path
-                << "\n";
-      return 1;
-    }
-  }
-  return ok ? 0 : 1;
+  h.sweep_determinism("E19d", "data-BER sweep", spec,
+                      /*with_fast_forward_leg=*/false);
+  return h.finish();
 }

@@ -30,13 +30,10 @@
 
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fault/injector.hpp"
 #include "services/resilience.hpp"
-#include "sweep/report.hpp"
-#include "sweep/runner.hpp"
 #include "workload/churn.hpp"
 
 using namespace ccredf;
@@ -132,10 +129,8 @@ ChurnRun run_case(std::int64_t horizon_slots) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = extract_json_path(argc, argv);
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  JsonDoc doc("fault_churn");
-  bool ok = true;
+  Harness h("fault_churn", argc, argv);
+  const bool quick = h.quick();
 
   header("E22",
          "Failure detection, bandwidth reclamation and staged "
@@ -173,56 +168,39 @@ int main(int argc, char** argv) {
          "quarantine must release exactly the weight Eq. 5/6 charged");
   a.print(std::cout);
 
-  doc.set("horizon_slots", static_cast<double>(horizon));
-  doc.set("rt_connections", static_cast<double>(r.admitted));
-  doc.set("disjoint_connections", static_cast<double>(r.disjoint_count));
-  doc.set("disjoint_user_misses",
-          static_cast<double>(r.disjoint_user_misses));
-  doc.set("touching_user_misses",
-          static_cast<double>(r.touching_user_misses));
-  doc.set("downs", static_cast<double>(r.monitor.downs));
-  doc.set("reappearances", static_cast<double>(r.monitor.reappearances));
-  doc.set("detection_window_slots", static_cast<double>(kDetectWindow));
-  doc.set("detection_latency_max_slots",
-          r.monitor.detection_latency_slots.max());
-  doc.set("weight_reclaimed", r.monitor.weight_reclaimed);
-  doc.set("weight_readmitted", r.monitor.weight_readmitted);
-  doc.set("reclaim_error", r.monitor.reclaim_error);
-  doc.set("readmit_attempts", static_cast<double>(r.monitor.readmit_attempts));
-  doc.set("readmissions", static_cast<double>(r.monitor.readmissions));
-  doc.set("readmit_rejections",
-          static_cast<double>(r.monitor.readmit_rejections));
+  h.set("horizon_slots", static_cast<double>(horizon));
+  h.set("rt_connections", static_cast<double>(r.admitted));
+  h.set("disjoint_connections", static_cast<double>(r.disjoint_count));
+  h.set("disjoint_user_misses", static_cast<double>(r.disjoint_user_misses));
+  h.set("touching_user_misses", static_cast<double>(r.touching_user_misses));
+  h.set("downs", static_cast<double>(r.monitor.downs));
+  h.set("reappearances", static_cast<double>(r.monitor.reappearances));
+  h.set("detection_window_slots", static_cast<double>(kDetectWindow));
+  h.set("detection_latency_max_slots", r.monitor.detection_latency_slots.max());
+  h.set("weight_reclaimed", r.monitor.weight_reclaimed);
+  h.set("weight_readmitted", r.monitor.weight_readmitted);
+  h.set("reclaim_error", r.monitor.reclaim_error);
+  h.set("readmit_attempts", static_cast<double>(r.monitor.readmit_attempts));
+  h.set("readmissions", static_cast<double>(r.monitor.readmissions));
+  h.set("readmit_rejections",
+        static_cast<double>(r.monitor.readmit_rejections));
 
-  if (r.disjoint_count <= 0) {
-    std::cerr << "E22a FAIL: workload produced no churn-disjoint "
-                 "connections -- the containment gate tested nothing\n";
-    ok = false;
-  }
-  if (r.disjoint_user_misses != 0) {
-    std::cerr << "E22a FAIL: " << r.disjoint_user_misses
-              << " user misses on connections disjoint from every "
-                 "churned node\n";
-    ok = false;
-  }
-  if (r.monitor.downs <= 0 || r.monitor.readmissions <= 0) {
-    std::cerr << "E22a FAIL: the churn loop never cycled (downs = "
-              << r.monitor.downs
-              << ", readmissions = " << r.monitor.readmissions << ")\n";
-    ok = false;
-  }
-  if (r.monitor.detection_latency_slots.max() >
-      static_cast<double>(kDetectWindow + 1)) {
-    std::cerr << "E22a FAIL: detection latency "
-              << r.monitor.detection_latency_slots.max()
-              << " slots exceeds the configured window + 1\n";
-    ok = false;
-  }
-  if (r.monitor.reclaim_error > 1e-9) {
-    std::cerr << "E22a FAIL: quarantine released weight diverges from "
-                 "the utilisation drop by "
-              << r.monitor.reclaim_error << "\n";
-    ok = false;
-  }
+  h.gate("E22a", r.disjoint_count > 0,
+         "workload produced no churn-disjoint connections -- the "
+         "containment gate tested nothing");
+  h.gate("E22a", r.disjoint_user_misses == 0, r.disjoint_user_misses,
+         " user misses on connections disjoint from every churned node");
+  h.gate("E22a", r.monitor.downs > 0 && r.monitor.readmissions > 0,
+         "the churn loop never cycled (downs = ", r.monitor.downs,
+         ", readmissions = ", r.monitor.readmissions, ")");
+  h.gate("E22a",
+         r.monitor.detection_latency_slots.max() <=
+             static_cast<double>(kDetectWindow + 1),
+         "detection latency ", r.monitor.detection_latency_slots.max(),
+         " slots exceeds the configured window + 1");
+  h.gate("E22a", r.monitor.reclaim_error <= 1e-9,
+         "quarantine released weight diverges from the utilisation drop by ",
+         r.monitor.reclaim_error);
 
   // -- E22b: exact recovery-gap quantiles ---------------------------------
   std::cout << "E22b: " << r.recoveries
@@ -230,20 +208,13 @@ int main(int argc, char** argv) {
             << "gap p50 = " << static_cast<double>(r.recovery_p50_ps) / 1e6
             << " us, p99 = " << static_cast<double>(r.recovery_p99_ps) / 1e6
             << " us\n";
-  doc.set("recoveries", static_cast<double>(r.recoveries));
-  doc.set("recovery_gap_p50_us",
-          static_cast<double>(r.recovery_p50_ps) / 1e6);
-  doc.set("recovery_gap_p99_us",
-          static_cast<double>(r.recovery_p99_ps) / 1e6);
-  if (r.recovery_p50_ps > r.recovery_p99_ps) {
-    std::cerr << "E22b FAIL: recovery-gap p50 exceeds p99\n";
-    ok = false;
-  }
-  if (r.recoveries > 0 && r.recovery_p50_ps <= 0) {
-    std::cerr << "E22b FAIL: recoveries happened but the gap "
-                 "distribution is empty\n";
-    ok = false;
-  }
+  h.set("recoveries", static_cast<double>(r.recoveries));
+  h.set("recovery_gap_p50_us", static_cast<double>(r.recovery_p50_ps) / 1e6);
+  h.set("recovery_gap_p99_us", static_cast<double>(r.recovery_p99_ps) / 1e6);
+  h.gate("E22b", r.recovery_p50_ps <= r.recovery_p99_ps,
+         "recovery-gap p50 exceeds p99");
+  h.gate("E22b", r.recoveries <= 0 || r.recovery_p50_ps > 0,
+         "recoveries happened but the gap distribution is empty");
 
   // -- E22c: churn-axis sweep determinism ---------------------------------
   sweep::GridSpec spec;
@@ -258,41 +229,7 @@ int main(int argc, char** argv) {
   spec.min_period_slots = 10;
   spec.max_period_slots = 120;
   spec.base_seed = 22;
-  const std::string json_1t =
-      sweep::to_json(sweep::run_sweep(spec, {.threads = 1}));
-  const std::string json_8t =
-      sweep::to_json(sweep::run_sweep(spec, {.threads = 8}));
-  sweep::GridSpec noff = spec;
-  noff.fast_forward = false;
-  const std::string json_noff =
-      sweep::to_json(sweep::run_sweep(noff, {.threads = 1}));
-  const bool threads_identical = json_1t == json_8t;
-  const bool ff_identical = json_1t == json_noff;
-  std::cout << "E22c: churn-axis sweep 1-thread vs 8-thread JSON: "
-            << (threads_identical ? "byte-identical" : "MISMATCH")
-            << "; fast-forward vs slot-by-slot JSON: "
-            << (ff_identical ? "byte-identical" : "MISMATCH") << "\n";
-  doc.set("threads_json_identical", threads_identical ? 1.0 : 0.0);
-  doc.set("ff_json_identical", ff_identical ? 1.0 : 0.0);
-  if (!threads_identical) {
-    std::cerr << "E22c FAIL: churn-axis sweep output depends on thread "
-                 "count\n";
-    ok = false;
-  }
-  if (!ff_identical) {
-    std::cerr << "E22c FAIL: churn-axis sweep output depends on the "
-                 "fast-forward engine\n";
-    ok = false;
-  }
-
-  doc.set("hardware_threads",
-          static_cast<double>(std::thread::hardware_concurrency()));
-
-  if (!json_path.empty()) {
-    if (!doc.write(json_path)) {
-      std::cerr << "bench_fault_churn: cannot write " << json_path << "\n";
-      return 1;
-    }
-  }
-  return ok ? 0 : 1;
+  h.sweep_determinism("E22c", "churn-axis sweep", spec,
+                      /*with_fast_forward_leg=*/true);
+  return h.finish();
 }

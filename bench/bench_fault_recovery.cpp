@@ -18,9 +18,8 @@ using namespace ccredf;
 using namespace ccredf::bench;
 
 int main(int argc, char** argv) {
-  const std::string json_path = extract_json_path(argc, argv);
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  JsonDoc doc("fault_recovery");
+  Harness h("fault_recovery", argc, argv);
+  const bool quick = h.quick();
 
   header("E11/E18", "token-loss recovery and control-channel bit errors",
          "Section 8 (future work)");
@@ -52,8 +51,8 @@ int main(int argc, char** argv) {
         .cell(n.recoveries())
         .cell(n.recovery_time().us(), 1)
         .cell(per_recovery, 1);
-    doc.set("timeout_" + std::to_string(timeout) + "_us_per_recovery",
-            per_recovery);
+    h.set("timeout_" + std::to_string(timeout) + "_us_per_recovery",
+          per_recovery);
   }
   t.note("cost per recovery = timeout * (t_slot + max gap): a short "
          "timeout recovers fast but risks false restarts on a real "
@@ -86,8 +85,8 @@ int main(int argc, char** argv) {
         .cell(rt.scheduling_misses)
         .cell(rt.user_misses)
         .pct(rt.user_miss_ratio(), 2);
-    doc.set(std::string("loss_") + label + "_user_miss_ratio",
-            rt.user_miss_ratio());
+    h.set(std::string("loss_") + label + "_user_miss_ratio",
+          rt.user_miss_ratio());
   }
   m.note("the Eq. 5 guarantee assumes a fault-free ring; each token loss "
          "stalls the network for the recovery timeout, so with tight "
@@ -132,10 +131,10 @@ int main(int argc, char** argv) {
           .cell(n.recovery_time().us(), 1)
           .pct(rt.user_miss_ratio(), 2);
       const std::string prefix = pname + "_" + label + "_";
-      doc.set(prefix + "user_miss_ratio", rt.user_miss_ratio());
-      doc.set(prefix + "recovery_us", n.recovery_time().us());
-      doc.set(prefix + "detected", static_cast<double>(f.detected()));
-      doc.set(prefix + "silent", static_cast<double>(f.silent()));
+      h.set(prefix + "user_miss_ratio", rt.user_miss_ratio());
+      h.set(prefix + "recovery_us", n.recovery_time().us());
+      h.set(prefix + "detected", static_cast<double>(f.detected()));
+      h.set(prefix + "silent", static_cast<double>(f.silent()));
     }
   }
   e.note("the guards reject corrupted frames, so rising BER shows up as "
@@ -144,12 +143,5 @@ int main(int argc, char** argv) {
          "remove -- multi-bit patterns that forge a plausible frame");
   e.print(std::cout);
 
-  if (!json_path.empty()) {
-    if (!doc.write(json_path)) {
-      std::cerr << "bench_fault_recovery: cannot write " << json_path
-                << "\n";
-      return 1;
-    }
-  }
-  return 0;
+  return h.finish();
 }

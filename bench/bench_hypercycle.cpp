@@ -16,8 +16,8 @@
 // back-to-back windows, planner on vs off, in one process; the gated
 // speedup is the median of the per-pair ratios, so it compares like host
 // phases.  The plan-driven fast-forward must be >= 2x the slot-by-slot
-// PR-8 engine (the acceptance claim; re-asserted by
-// validate_bench_json.py, with absolute floors in perf_floors.json).
+// PR-8 engine (the acceptance claim, gated here, with absolute floors in
+// perf_floors.json).
 //
 // E23c re-runs the planner-axis sweep determinism gates: the report is
 // byte-identical across 1-vs-8 worker threads and fast-forward vs
@@ -28,16 +28,12 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "bench_common.hpp"
-#include "sweep/report.hpp"
-#include "sweep/runner.hpp"
 
 namespace {
 
@@ -161,19 +157,13 @@ std::string point_fingerprint(const sweep::PointResult& pr) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = bench::extract_json_path(argc, argv);
-  if (json_path.empty()) json_path = "BENCH_hypercycle.json";
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  bench::Harness h("hypercycle", argc, argv);
+  const bool quick = h.quick();
   const std::int64_t run_slots = quick ? 6'000 : 20'000;
   const double min_seconds = quick ? 0.05 : 0.4;
 
   bench::header("E23", "hypercycle reservation planner",
                 "admission past Eq. 6 via spatial reuse (paper section 2)");
-  bench::JsonDoc doc("hypercycle");
-  bool ok = true;
 
   // -- E23a: admitted-utilisation ceiling ---------------------------------
   const auto past_umax = one_hop_set(4);
@@ -213,25 +203,21 @@ int main(int argc, char** argv) {
         .cell(planned, 3)
         .cell(reqs, 3);
     const std::string k(cell.key);
-    doc.set(k + ",admitted_conns", admitted);
-    doc.set(k + ",admitted_u", admitted_u);
-    doc.set(k + ",sched_miss_ratio", d.rt_sched_miss);
-    doc.set(k + ",user_miss_ratio", d.rt_user_miss);
-    doc.set(k + ",planned_slot_fraction", planned);
-    doc.set(k + ",control_requests_per_slot", reqs);
+    h.set(k + ",admitted_conns", admitted);
+    h.set(k + ",admitted_u", admitted_u);
+    h.set(k + ",sched_miss_ratio", d.rt_sched_miss);
+    h.set(k + ",user_miss_ratio", d.rt_user_miss);
+    h.set(k + ",planned_slot_fraction", planned);
+    h.set(k + ",control_requests_per_slot", reqs);
 
     if (cell.planner && cell.proto == bench::Protocol::kCcrEdf) {
-      if (admitted != static_cast<int>(past_umax.size()) ||
-          admitted_u <= 2.0 * u_max) {
-        std::cerr << "E23a FAIL: planner admitted " << admitted << "/"
-                  << past_umax.size() << " (u=" << admitted_u
-                  << ", U_max=" << u_max << ")\n";
-        ok = false;
-      }
-      if (d.rt_sched_miss != 0.0 || d.rt_user_miss != 0.0) {
-        std::cerr << "E23a FAIL: planned past-U_max run missed deadlines\n";
-        ok = false;
-      }
+      h.gate("E23a",
+             admitted == static_cast<int>(past_umax.size()) &&
+                 admitted_u > 2.0 * u_max,
+             "planner admitted ", admitted, "/", past_umax.size(),
+             " (u=", admitted_u, ", U_max=", u_max, ")");
+      h.gate("E23a", d.rt_sched_miss == 0.0 && d.rt_user_miss == 0.0,
+             "planned past-U_max run missed deadlines");
       // Every slot the plan is engaged either grants a bundle or waits
       // for the next release instant; together they must cover nearly
       // the whole run (the shortfall is the pre-open transient).
@@ -239,23 +225,21 @@ int main(int argc, char** argv) {
           static_cast<double>(n.stats().planned_slots +
                               n.stats().plan_wait_slots) /
           static_cast<double>(n.stats().slots);
-      if (planned <= 0.0 || plan_driven < 0.95 ||
-          n.stats().plan_divergences != 0) {
-        std::cerr << "E23a FAIL: plan not in effect (granting fraction "
-                  << planned << ", plan-driven fraction " << plan_driven
-                  << ", divergences " << n.stats().plan_divergences << ")\n";
-        ok = false;
-      }
-      doc.set("planner,plan_driven_fraction", plan_driven);
-      doc.set("planner,plan_divergences",
-              static_cast<double>(n.stats().plan_divergences));
-    } else if (admitted_u > u_max + 1e-9) {
-      std::cerr << "E23a FAIL: " << cell.key
-                << " admitted past U_max without a plan\n";
-      ok = false;
+      h.gate("E23a",
+             planned > 0.0 && plan_driven >= 0.95 &&
+                 n.stats().plan_divergences == 0,
+             "plan not in effect (granting fraction ", planned,
+             ", plan-driven fraction ", plan_driven, ", divergences ",
+             n.stats().plan_divergences, ")");
+      h.set("planner,plan_driven_fraction", plan_driven);
+      h.set("planner,plan_divergences",
+            static_cast<double>(n.stats().plan_divergences));
+    } else {
+      h.gate("E23a", admitted_u <= u_max + 1e-9, cell.key,
+             " admitted past U_max without a plan");
     }
   }
-  doc.set("u_max", u_max);
+  h.set("u_max", u_max);
   admit_table.print(std::cout);
 
   // -- E23b: engine throughput on a busy fully-periodic cell --------------
@@ -266,12 +250,9 @@ int main(int argc, char** argv) {
   net::Network net_off(cell_config(bench::Protocol::kCcrEdf, false));
   for (net::Network* n : {&net_on, &net_off}) {
     const int admitted = bench::open_all(*n, busy);
-    if (admitted != busy_streams) {
-      std::cerr << "E23b FAIL: engine cell admitted " << admitted << "/"
-                << busy_streams << " with planner "
-                << (n == &net_on ? "on" : "off") << "\n";
-      ok = false;
-    }
+    h.gate("E23b", admitted == busy_streams, "engine cell admitted ",
+           admitted, "/", busy_streams, " with planner ",
+           n == &net_on ? "on" : "off");
   }
   const EngineTiming timing = time_engines(net_on, net_off, min_seconds);
   const double rate_on = timing.best_a;
@@ -279,11 +260,9 @@ int main(int argc, char** argv) {
   const double planned_on = net_on.stats().planned_slot_fraction();
   for (net::Network* n : {&net_on, &net_off}) {
     const bench::RunDigest d = bench::digest(*n);
-    if (d.rt_sched_miss != 0.0 || d.rt_user_miss != 0.0) {
-      std::cerr << "E23b FAIL: busy cell missed deadlines (planner "
-                << (n == &net_on ? "on" : "off") << ")\n";
-      ok = false;
-    }
+    h.gate("E23b", d.rt_sched_miss == 0.0 && d.rt_user_miss == 0.0,
+           "busy cell missed deadlines (planner ",
+           n == &net_on ? "on" : "off", ")");
   }
   const double speedup = timing.ratio;
   analysis::Table engine_table("slot engine, 32 nodes, 0.9 x U_max");
@@ -296,21 +275,18 @@ int main(int argc, char** argv) {
   engine_table.row().cell("tcma32").cell(rate_off, 0).cell(0.0, 3).cell(1.0,
                                                                         2);
   engine_table.print(std::cout);
-  doc.set("planner32,slots_per_sec", rate_on);
-  doc.set("tcma32,slots_per_sec", rate_off);
-  doc.set("planner32,planned_slot_fraction", planned_on);
-  doc.set("engine_speedup", speedup);
+  h.set("planner32,slots_per_sec", rate_on);
+  h.set("tcma32,slots_per_sec", rate_off);
+  h.set("planner32,planned_slot_fraction", planned_on);
+  h.set("engine_speedup", speedup);
 #if defined(CCREDF_BENCH_TIMING_UNGATED)
   // Sanitizer/coverage/debug build: instrumentation skews the engines'
   // relative cost, so the ratio is reported but not gated (see
   // bench/CMakeLists.txt; the release CI leg enforces it).
   std::cout << "E23b: speedup gate skipped (instrumented build)\n";
 #else
-  if (speedup < 2.0) {
-    std::cerr << "E23b FAIL: plan-driven fast-forward only " << speedup
-              << "x the slot-by-slot engine (< 2x)\n";
-    ok = false;
-  }
+  h.gate("E23b", speedup >= 2.0, "plan-driven fast-forward only ", speedup,
+         "x the slot-by-slot engine (< 2x)");
 #endif
 
   // -- E23c: planner-axis sweep determinism -------------------------------
@@ -323,48 +299,21 @@ int main(int argc, char** argv) {
   spec.min_period_slots = 32;
   spec.max_period_slots = 32;
   spec.base_seed = 23;
-  const std::string json_1t =
-      sweep::to_json(sweep::run_sweep(spec, {.threads = 1}));
-  const std::string json_8t =
-      sweep::to_json(sweep::run_sweep(spec, {.threads = 8}));
-  sweep::GridSpec noff = spec;
-  noff.fast_forward = false;
-  const std::string json_noff =
-      sweep::to_json(sweep::run_sweep(noff, {.threads = 1}));
-  const bool threads_identical = json_1t == json_8t;
-  const bool ff_identical = json_1t == json_noff;
-
   // Fault cells attach hooks before any open: the planner never engages
   // and must be a byte-level no-op, planner counters included.
   sweep::GridSpec faulted = spec;
   faulted.bers = {1e-3};
   faulted.frame_crc = true;
   const sweep::SweepResult fr = sweep::run_sweep(faulted, {.threads = 1});
-  bool noop_identical = fr.failed_shards == 0 && fr.points.size() == 2;
-  if (noop_identical) {
-    noop_identical =
-        point_fingerprint(fr.points[0]) == point_fingerprint(fr.points[1]);
-  }
-  std::cout << "E23c: planner-axis sweep 1-thread vs 8-thread JSON: "
-            << (threads_identical ? "byte-identical" : "MISMATCH")
-            << "; fast-forward vs slot-by-slot JSON: "
-            << (ff_identical ? "byte-identical" : "MISMATCH")
-            << "; planner on/off on fault cells: "
-            << (noop_identical ? "byte-identical" : "MISMATCH") << "\n";
-  doc.set("threads_json_identical", threads_identical ? 1.0 : 0.0);
-  doc.set("ff_json_identical", ff_identical ? 1.0 : 0.0);
-  doc.set("planner_noop_identical", noop_identical ? 1.0 : 0.0);
-  if (!threads_identical || !ff_identical || !noop_identical) {
-    std::cerr << "E23c FAIL: planner sweep determinism gate\n";
-    ok = false;
-  }
-
-  doc.set("hardware_threads",
-          static_cast<double>(std::thread::hardware_concurrency()));
-  if (!doc.write(json_path)) {
-    std::cerr << "bench_hypercycle: cannot write " << json_path << "\n";
-    return 1;
-  }
-  std::cout << "\nwrote " << json_path << "\n";
-  return ok ? 0 : 1;
+  const bool noop_identical =
+      fr.failed_shards == 0 && fr.points.size() == 2 &&
+      point_fingerprint(fr.points[0]) == point_fingerprint(fr.points[1]);
+  h.sweep_determinism(
+      "E23c", "planner-axis sweep", spec, /*with_fast_forward_leg=*/true,
+      std::string("; planner on/off on fault cells: ") +
+          (noop_identical ? "byte-identical" : "MISMATCH"));
+  h.set("planner_noop_identical", noop_identical ? 1.0 : 0.0);
+  h.gate("E23c", noop_identical,
+         "enabling the planner changed a cell it cannot plan");
+  return h.finish(/*announce=*/true);
 }

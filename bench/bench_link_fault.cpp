@@ -29,14 +29,11 @@
 #include "bench_common.hpp"
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fault/injector.hpp"
 #include "ring/segment.hpp"
 #include "services/resilience.hpp"
-#include "sweep/report.hpp"
-#include "sweep/runner.hpp"
 
 using namespace ccredf;
 using namespace ccredf::bench;
@@ -150,10 +147,8 @@ DarkRun run_ring_dark() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = extract_json_path(argc, argv);
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  JsonDoc doc("link_fault");
-  bool ok = true;
+  Harness h("link_fault", argc, argv);
+  const bool quick = h.quick();
 
   header("E24",
          "Severed-segment fault model: partition-aware degraded mode "
@@ -198,82 +193,61 @@ int main(int argc, char** argv) {
          "5/6 weight of the closed transfers");
   a.print(std::cout);
 
-  doc.set("horizon_slots", static_cast<double>(horizon));
-  doc.set("rt_connections", static_cast<double>(r.admitted));
-  doc.set("disjoint_connections", static_cast<double>(r.disjoint_count));
-  doc.set("disjoint_user_misses",
-          static_cast<double>(r.disjoint_user_misses));
-  doc.set("crossing_user_misses",
-          static_cast<double>(r.crossing_user_misses));
-  doc.set("link_cuts", static_cast<double>(r.link_cuts));
-  doc.set("cut_detect_slots", static_cast<double>(r.cut_detect_slots));
-  doc.set("segment_downs", static_cast<double>(r.monitor.segment_downs));
-  doc.set("segment_quarantines",
-          static_cast<double>(r.monitor.segment_quarantines));
-  doc.set("weight_reclaimed", r.monitor.weight_reclaimed);
-  doc.set("weight_readmitted", r.monitor.weight_readmitted);
-  doc.set("reclaim_error", r.monitor.reclaim_error);
-  doc.set("capacity_while_severed", r.capacity_while_severed);
-  doc.set("capacity_after_splice", r.capacity_after_splice);
-  doc.set("readmissions", static_cast<double>(r.monitor.readmissions));
+  h.set("horizon_slots", static_cast<double>(horizon));
+  h.set("rt_connections", static_cast<double>(r.admitted));
+  h.set("disjoint_connections", static_cast<double>(r.disjoint_count));
+  h.set("disjoint_user_misses", static_cast<double>(r.disjoint_user_misses));
+  h.set("crossing_user_misses", static_cast<double>(r.crossing_user_misses));
+  h.set("link_cuts", static_cast<double>(r.link_cuts));
+  h.set("cut_detect_slots", static_cast<double>(r.cut_detect_slots));
+  h.set("segment_downs", static_cast<double>(r.monitor.segment_downs));
+  h.set("segment_quarantines",
+        static_cast<double>(r.monitor.segment_quarantines));
+  h.set("weight_reclaimed", r.monitor.weight_reclaimed);
+  h.set("weight_readmitted", r.monitor.weight_readmitted);
+  h.set("reclaim_error", r.monitor.reclaim_error);
+  h.set("capacity_while_severed", r.capacity_while_severed);
+  h.set("capacity_after_splice", r.capacity_after_splice);
+  h.set("readmissions", static_cast<double>(r.monitor.readmissions));
 
-  if (r.disjoint_count <= 0) {
-    std::cerr << "E24a FAIL: workload produced no cut-disjoint "
-                 "connections -- the containment gate tested nothing\n";
-    ok = false;
-  }
-  if (r.disjoint_user_misses != 0) {
-    std::cerr << "E24a FAIL: " << r.disjoint_user_misses
-              << " user misses on connections whose segment avoids the "
-                 "cut link\n";
-    ok = false;
-  }
-  if (r.link_cuts != 1 || r.monitor.segment_downs <= 0 ||
-      r.monitor.readmissions <= 0) {
-    std::cerr << "E24a FAIL: the severed-segment loop never cycled "
-                 "(cuts = "
-              << r.link_cuts << ", segment_downs = "
-              << r.monitor.segment_downs
-              << ", readmissions = " << r.monitor.readmissions << ")\n";
-    ok = false;
-  }
-  if (r.cut_detect_slots < 1 || r.cut_detect_slots > 2 * r.link_cuts) {
-    std::cerr << "E24a FAIL: in-protocol cut detection took "
-              << r.cut_detect_slots
-              << " slots; the next collection phase must carry the "
-                 "evidence (<= 2 per cut)\n";
-    ok = false;
-  }
-  if (r.monitor.reclaim_error > 1e-9) {
-    std::cerr << "E24a FAIL: segment quarantine released weight diverges "
-                 "from the utilisation drop by "
-              << r.monitor.reclaim_error << "\n";
-    ok = false;
-  }
-  if (r.capacity_while_severed != 0.5 || r.capacity_after_splice != 1.0) {
-    std::cerr << "E24a FAIL: capacity derate/restore cycle broken "
-                 "(severed = "
-              << r.capacity_while_severed
-              << ", healed = " << r.capacity_after_splice << ")\n";
-    ok = false;
-  }
+  h.gate("E24a", r.disjoint_count > 0,
+         "workload produced no cut-disjoint connections -- the "
+         "containment gate tested nothing");
+  h.gate("E24a", r.disjoint_user_misses == 0, r.disjoint_user_misses,
+         " user misses on connections whose segment avoids the cut link");
+  h.gate("E24a",
+         r.link_cuts == 1 && r.monitor.segment_downs > 0 &&
+             r.monitor.readmissions > 0,
+         "the severed-segment loop never cycled (cuts = ", r.link_cuts,
+         ", segment_downs = ", r.monitor.segment_downs,
+         ", readmissions = ", r.monitor.readmissions, ")");
+  h.gate("E24a", r.monitor.segment_quarantines > 0,
+         "the cut never segment-quarantined a transfer");
+  h.gate("E24a",
+         r.cut_detect_slots >= 1 && r.cut_detect_slots <= 2 * r.link_cuts,
+         "in-protocol cut detection took ", r.cut_detect_slots,
+         " slots; the next collection phase must carry the evidence (<= 2 "
+         "per cut)");
+  h.gate("E24a", r.monitor.reclaim_error <= 1e-9,
+         "segment quarantine released weight diverges from the "
+         "utilisation drop by ",
+         r.monitor.reclaim_error);
+  h.gate("E24a",
+         r.capacity_while_severed == 0.5 && r.capacity_after_splice == 1.0,
+         "capacity derate/restore cycle broken (severed = ",
+         r.capacity_while_severed, ", healed = ", r.capacity_after_splice,
+         ")");
 
   // -- E24b: double cut parks the ring dark -------------------------------
   const DarkRun d = run_ring_dark();
   std::cout << "E24b: double cut parked " << d.ring_dark
             << " ring-dark slots; after both splices the healed ring "
             << "delivered " << d.delivered_after_heal << " message(s)\n";
-  doc.set("ring_dark_slots", static_cast<double>(d.ring_dark));
-  doc.set("delivered_after_heal",
-          static_cast<double>(d.delivered_after_heal));
-  if (d.ring_dark <= 0) {
-    std::cerr << "E24b FAIL: a partitioned ring never parked dark\n";
-    ok = false;
-  }
-  if (d.delivered_after_heal != 1) {
-    std::cerr << "E24b FAIL: the healed ring failed to deliver\n";
-    ok = false;
-  }
+  h.set("ring_dark_slots", static_cast<double>(d.ring_dark));
+  h.set("delivered_after_heal", static_cast<double>(d.delivered_after_heal));
+  h.gate("E24b", d.ring_dark > 0, "a partitioned ring never parked dark");
+  h.gate("E24b", d.delivered_after_heal == 1,
+         "the healed ring failed to deliver");
 
   // -- E24c: link_cuts-axis sweep determinism -----------------------------
   sweep::GridSpec spec;
@@ -287,56 +261,19 @@ int main(int argc, char** argv) {
   spec.min_period_slots = 10;
   spec.max_period_slots = 120;
   spec.base_seed = 24;
-  const std::string json_1t =
-      sweep::to_json(sweep::run_sweep(spec, {.threads = 1}));
-  const std::string json_8t =
-      sweep::to_json(sweep::run_sweep(spec, {.threads = 8}));
-  sweep::GridSpec noff = spec;
-  noff.fast_forward = false;
-  const std::string json_noff =
-      sweep::to_json(sweep::run_sweep(noff, {.threads = 1}));
+  // Cut cells never build a plan, so the planner-enabled grid must fall
+  // back to a byte-exact slot-by-slot run at any thread count too.
   sweep::GridSpec planner = spec;
   planner.planners = {true};
-  const std::string planner_1t =
-      sweep::to_json(sweep::run_sweep(planner, {.threads = 1}));
-  const std::string planner_8t =
+  const bool planner_identical =
+      sweep::to_json(sweep::run_sweep(planner, {.threads = 1})) ==
       sweep::to_json(sweep::run_sweep(planner, {.threads = 8}));
-  const bool threads_identical = json_1t == json_8t;
-  const bool ff_identical = json_1t == json_noff;
-  const bool planner_identical = planner_1t == planner_8t;
-  std::cout << "E24c: link-cut sweep 1-thread vs 8-thread JSON: "
-            << (threads_identical ? "byte-identical" : "MISMATCH")
-            << "; fast-forward vs slot-by-slot JSON: "
-            << (ff_identical ? "byte-identical" : "MISMATCH")
-            << "; planner-on 1 vs 8 threads: "
-            << (planner_identical ? "byte-identical" : "MISMATCH") << "\n";
-  doc.set("threads_json_identical", threads_identical ? 1.0 : 0.0);
-  doc.set("ff_json_identical", ff_identical ? 1.0 : 0.0);
-  doc.set("planner_json_identical", planner_identical ? 1.0 : 0.0);
-  if (!threads_identical) {
-    std::cerr << "E24c FAIL: link-cut sweep output depends on thread "
-                 "count\n";
-    ok = false;
-  }
-  if (!ff_identical) {
-    std::cerr << "E24c FAIL: link-cut sweep output depends on the "
-                 "fast-forward engine\n";
-    ok = false;
-  }
-  if (!planner_identical) {
-    std::cerr << "E24c FAIL: planner-enabled cut cells diverge across "
-                 "thread counts\n";
-    ok = false;
-  }
-
-  doc.set("hardware_threads",
-          static_cast<double>(std::thread::hardware_concurrency()));
-
-  if (!json_path.empty()) {
-    if (!doc.write(json_path)) {
-      std::cerr << "bench_link_fault: cannot write " << json_path << "\n";
-      return 1;
-    }
-  }
-  return ok ? 0 : 1;
+  h.sweep_determinism("E24c", "link-cut sweep", spec,
+                      /*with_fast_forward_leg=*/true,
+                      std::string("; planner-on 1 vs 8 threads: ") +
+                          (planner_identical ? "byte-identical" : "MISMATCH"));
+  h.set("planner_json_identical", planner_identical ? 1.0 : 0.0);
+  h.gate("E24c", planner_identical,
+         "planner-enabled cut cells diverge across thread counts");
+  return h.finish();
 }

@@ -11,20 +11,6 @@
 using namespace ccredf;
 using namespace ccredf::bench;
 
-namespace {
-
-/// The auto-payload rule the network applies when payload_bytes == 0
-/// (see net::Network's constructor).
-std::int64_t auto_payload(const phy::RingPhy& ring,
-                          const core::FrameCodec& codec,
-                          const net::NetworkConfig& cfg) {
-  return std::max(core::SlotTiming::min_payload_bytes(ring) +
-                      codec.collection_bits() + codec.distribution_bits(),
-                  cfg.default_payload_floor);
-}
-
-}  // namespace
-
 int main() {
   header("E15", "scaling with ring size",
          "derived series (no single figure; combines Eq. 1-6)");
@@ -46,10 +32,11 @@ int main() {
              "mean RT lat (us)", "goodput"});
   for (const sweep::PointResult& pr : res.points) {
     const NodeId nodes = pr.point.nodes;
-    const net::NetworkConfig cfg = sweep::make_network_config(spec, pr.point);
-    const phy::RingPhy ring(cfg.link, nodes, spec.link_length_m);
-    const core::FrameCodec codec(nodes, cfg.priority, cfg.with_acks);
-    const core::SlotTiming timing(ring, auto_payload(ring, codec, cfg));
+    // The point's network, as the shard built it: its auto payload is
+    // the one slot-sizing rule (core::ControlTiming::min_payload_bytes).
+    const net::Network probe(sweep::make_network_config(spec, pr.point));
+    const core::SlotTiming& timing = probe.timing();
+    const core::FrameCodec& codec = probe.codec();
     t.row()
         .cell(static_cast<std::int64_t>(nodes))
         .cell(timing.payload_bytes())

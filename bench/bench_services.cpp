@@ -64,8 +64,8 @@ ServiceLatency measure(NodeId nodes, bool with_data_load,
 
 }  // namespace
 
-int main() {
-  bool ok = true;
+int main(int argc, char** argv) {
+  Harness h("services", argc, argv);
   header("E10", "barrier synchronisation and global reduction",
          "Sections 1 and 7 (group-communication services)");
 
@@ -87,20 +87,19 @@ int main() {
           .cell(barrier_us / extent_us, 2);
       // The note's claim, gated: every round completes for both services,
       // each within 2 slot extents of its last arrival on average.
-      if (r.barrier.count() != kRounds || r.reduce.count() != kRounds ||
-          barrier_us > 2.0 * extent_us || reduce_us > 2.0 * extent_us) {
-        std::cerr << "E10 FAIL: " << nodes << " nodes, "
-                  << (loaded ? "saturated" : "idle") << ": "
-                  << r.barrier.count() << "/" << r.reduce.count() << " of "
-                  << kRounds << " rounds, " << barrier_us << "/" << reduce_us
-                  << " us against a " << extent_us << " us slot extent\n";
-        ok = false;
-      }
+      h.gate("E10",
+             r.barrier.count() == kRounds && r.reduce.count() == kRounds &&
+                 barrier_us <= 2.0 * extent_us &&
+                 reduce_us <= 2.0 * extent_us,
+             nodes, " nodes, ", loaded ? "saturated" : "idle", ": ",
+             r.barrier.count(), "/", r.reduce.count(), " of ", kRounds,
+             " rounds, ", barrier_us, "/", reduce_us, " us against a ",
+             extent_us, " us slot extent");
     }
   }
   t.note("the services complete within ~1-2 slot extents of the last "
          "arrival regardless of data load: they ride the dedicated "
          "control channel, never competing with data slots");
   t.print(std::cout);
-  return ok ? 0 : 1;
+  return h.finish();
 }

@@ -2,8 +2,8 @@
 // artefact).  Measures simulated slots and discrete events per second of
 // host wall time, swept over ring size and admitted periodic load.  Every
 // experiment binary is bounded by this number, so it is the repo's
-// recorded perf trajectory: results land in BENCH_slot_throughput.json
-// (override with --json <path>) for run-over-run diffing.
+// recorded perf trajectory: --json <path> writes the results
+// (BENCH_slot_throughput.json in CI) for run-over-run diffing.
 //
 // The engine's idle fast-forward (DESIGN.md section 8) is ON by default,
 // exactly as every experiment binary runs it; --no-fast-forward times the
@@ -19,9 +19,7 @@
 // Usage: bench_slot_throughput [--quick] [--no-fast-forward]
 //                              [--json <path>]
 #include <chrono>
-#include <cstring>
 #include <string>
-#include <thread>
 
 #include "bench_common.hpp"
 
@@ -91,14 +89,9 @@ Sample run_config(NodeId nodes, double load_fraction, double min_seconds,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = ccredf::bench::extract_json_path(argc, argv);
-  if (json_path.empty()) json_path = "BENCH_slot_throughput.json";
-  bool quick = false;
-  bool fast_forward = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--no-fast-forward") == 0) fast_forward = false;
-  }
+  ccredf::bench::Harness h("slot_throughput", argc, argv);
+  const bool quick = h.quick();
+  const bool fast_forward = h.fast_forward();
   const double min_seconds = quick ? 0.05 : 0.4;
 
   ccredf::bench::header("E16", "slot-engine throughput",
@@ -111,7 +104,6 @@ int main(int argc, char** argv) {
   ccredf::analysis::Table table("slot-engine steady-state throughput");
   table.columns(
       {"nodes", "load", "conns", "util", "slots/s", "events/s", "ff"});
-  ccredf::bench::JsonDoc doc("slot_throughput");
 
   const ccredf::NodeId node_counts[] = {4, 8, 16, 32};
   const double loads[] = {0.3, 0.6, 0.9};
@@ -128,20 +120,12 @@ int main(int argc, char** argv) {
           .cell(s.fast_forward_ratio, 3);
       const std::string key = "nodes=" + std::to_string(nodes) +
                               ",load=" + std::to_string(load).substr(0, 3);
-      doc.set(key + ",slots_per_sec", s.slots_per_sec);
-      doc.set(key + ",events_per_sec", s.events_per_sec);
-      doc.set(key + ",fast_forward_ratio", s.fast_forward_ratio);
+      h.set(key + ",slots_per_sec", s.slots_per_sec);
+      h.set(key + ",events_per_sec", s.events_per_sec);
+      h.set(key + ",fast_forward_ratio", s.fast_forward_ratio);
     }
   }
-  doc.set("fast_forward", fast_forward ? 1.0 : 0.0);
-  doc.set("hardware_threads",
-          static_cast<double>(std::thread::hardware_concurrency()));
+  h.set("fast_forward", fast_forward ? 1.0 : 0.0);
   table.print(std::cout);
-
-  if (!doc.write(json_path)) {
-    std::cerr << "bench_slot_throughput: cannot write " << json_path << "\n";
-    return 1;
-  }
-  std::cout << "\nwrote " << json_path << "\n";
-  return 0;
+  return h.finish(/*announce=*/true);
 }

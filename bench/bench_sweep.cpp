@@ -41,9 +41,8 @@ sweep::GridSpec e17_grid(bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = extract_json_path(argc, argv);
-  const bool quick =
-      argc > 1 && std::string(argv[1]) == "--quick";
+  Harness h("sweep", argc, argv);
+  const bool quick = h.quick();
 
   header("E17", "parallel sweep-runner throughput & determinism",
          "engineering metric (no paper artefact); DESIGN.md section 9");
@@ -93,23 +92,18 @@ int main(int argc, char** argv) {
          "; hardware threads on this host: " + std::to_string(hw));
   t.print(std::cout);
 
-  if (!json_path.empty()) {
-    JsonDoc doc("sweep");
-    doc.set("shards", static_cast<double>(spec.shard_count()));
-    doc.set("points", static_cast<double>(spec.point_count()));
-    doc.set("slots_per_shard", static_cast<double>(spec.slots));
-    doc.set("wall_s_1t", wall_1t);
-    doc.set("wall_s_8t", wall_8t);
-    doc.set("shards_per_s_1t", shards_per_s_1t);
-    doc.set("shards_per_s_8t", shards_per_s_8t);
-    doc.set("speedup_8t_vs_1t", wall_1t / wall_8t);
-    doc.set("hardware_threads", static_cast<double>(hw));
-    doc.set("json_identical", identical ? 1.0 : 0.0);
-    if (!doc.write(json_path)) {
-      std::cerr << "bench_sweep: cannot write " << json_path << "\n";
-      return 1;
-    }
-    std::cout << doc.str();
-  }
-  return identical ? 0 : 1;
+  h.set("shards", static_cast<double>(spec.shard_count()));
+  h.set("points", static_cast<double>(spec.point_count()));
+  h.set("slots_per_shard", static_cast<double>(spec.slots));
+  h.set("wall_s_1t", wall_1t);
+  h.set("wall_s_8t", wall_8t);
+  h.set("shards_per_s_1t", shards_per_s_1t);
+  h.set("shards_per_s_8t", shards_per_s_8t);
+  h.set("speedup_8t_vs_1t", wall_1t / wall_8t);
+  h.set("json_identical", identical ? 1.0 : 0.0);
+  h.gate("E17", identical,
+         "aggregated sweep JSON differs across thread counts");
+  const int rc = h.finish();
+  if (h.json_requested()) std::cout << h.doc().str();
+  return rc;
 }

@@ -4,8 +4,10 @@
 //
 //   $ ./examples/multimedia_lan
 #include <iostream>
+#include <vector>
 
 #include "analysis/report.hpp"
+#include "fault/injector.hpp"
 #include "net/network.hpp"
 #include "services/reliable.hpp"
 #include "workload/multimedia.hpp"
@@ -22,7 +24,16 @@ int main() {
 
   net::NetworkConfig cfg;
   cfg.nodes = mm.nodes;
+  // Receivers check a payload CRC-32 and NACK corrupt transfers on the
+  // ack wire; the reliable channel retransmits on the NACK.
+  cfg.with_acks = true;
+  cfg.with_payload_crc = true;
   net::Network network(cfg);
+  // A noisy data fibre into node 6 (link 5 runs from node 5 to node 6).
+  fault::FaultInjector faults(network, /*seed=*/6);
+  std::vector<double> data_ber(mm.nodes, 0.0);
+  data_ber[5] = 5e-7;
+  faults.set_data_ber(data_ber);
 
   int admitted = 0;
   for (const auto& c : scenario.connections) {
@@ -38,11 +49,9 @@ int main() {
       network, scenario.background,
       sim::TimePoint::origin() + network.timing().slot() * 8000);
 
-  // A 256 KiB reliable file transfer with a noisy receiver.
-  services::ReliableChannel::Params rp;
-  rp.loss_probability = 0.1;
-  rp.timeout_slots = 6;
-  services::ReliableChannel reliable(network, rp);
+  // A 256 KiB reliable file transfer to the node behind the noisy fibre.
+  services::ReliableChannel reliable(network,
+                                     services::ReliableChannel::Params{});
   const std::int64_t file_slots =
       (256 * 1024) / network.timing().payload_bytes() + 1;
   bool file_done = false;

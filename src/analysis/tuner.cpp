@@ -6,8 +6,9 @@ namespace ccredf::analysis {
 
 std::int64_t min_legal_payload(const phy::RingPhy& phy,
                                const core::FrameCodec& codec) {
-  return std::max(core::SlotTiming::min_payload_bytes(phy),
-                  codec.collection_bits() + codec.distribution_bits());
+  return core::ControlTiming(&phy, codec.collection_bits(),
+                             codec.distribution_bits())
+      .min_payload_bytes();
 }
 
 SlotTuning tune_slot_size(const phy::RingPhy& phy,

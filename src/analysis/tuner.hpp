@@ -4,11 +4,13 @@
 // stretches the worst-case protocol latency (Eq. 4) and the deadline
 // granularity ("the smallest time unit is a slot", §5).  The tuner picks
 // the largest payload whose Eq. 4 latency stays within a target, subject
-// to the Eq. 2 minimum and the control-frame bit budget.
+// to the slot fitting both control phases (Eq. 2 plus the control
+// packets' own bits).
 #pragma once
 
 #include <cstdint>
 
+#include "core/control_timing.hpp"
 #include "core/frames.hpp"
 #include "core/schedulability.hpp"
 #include "phy/ring_phy.hpp"
@@ -32,8 +34,8 @@ struct SlotTuning {
                                         const core::FrameCodec& codec,
                                         sim::Duration latency_target);
 
-/// Smallest payload legal for this ring and codec: the max of the Eq. 2
-/// propagation minimum and the control-frame bit budget.
+/// Smallest payload legal for this ring and codec: both control phases
+/// must fit the slot (core::ControlTiming::min_payload_bytes).
 [[nodiscard]] std::int64_t min_legal_payload(const phy::RingPhy& phy,
                                              const core::FrameCodec& codec);
 

@@ -71,6 +71,18 @@ class ControlTiming {
     return collection_complete_offset() + distribution_time() <= t_slot;
   }
 
+  /// Smallest payload in bytes whose slot passes fits_slot: Eq. 2's
+  /// propagation and passthrough PLUS both control packets' own bits
+  /// (one control bit rides per payload byte time), rounded up to a
+  /// whole byte time.  The one slot-sizing rule -- the engine's auto
+  /// payload and the slot tuner both use it.
+  [[nodiscard]] std::int64_t min_payload_bytes() const {
+    const std::int64_t byte_ps = phy_->link().bit_time().ps();
+    const std::int64_t need_ps =
+        (collection_complete_offset() + distribution_time()).ps();
+    return (need_ps + byte_ps - 1) / byte_ps;
+  }
+
  private:
   const phy::RingPhy* phy_;  // non-owning; outlives this object
   std::int64_t collection_bits_;

@@ -109,9 +109,6 @@ struct NetworkConfig {
   /// feasibility simulation proves the layout meets every deadline.
   /// CCR-EDF only; other protocols ignore the flag.
   bool planner = false;
-  /// Hyperperiod cap for the planner: connection sets whose lcm of
-  /// periods exceeds this (or overflows) are simply never planned.
-  std::int64_t planner_max_hyperperiod_slots = std::int64_t{1} << 16;
 
   /// Per-node transmit-buffer capacity in messages; 0 = unlimited.
   /// When full, new best-effort / non-real-time messages are tail-dropped

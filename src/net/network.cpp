@@ -57,22 +57,20 @@ Network::Network(NetworkConfig cfg)
   codec_ = std::make_unique<core::FrameCodec>(
       cfg_.nodes, cfg_.priority, cfg_.with_acks, cfg_.with_frame_crc,
       cfg_.with_acks && cfg_.with_payload_crc);
+  control_ = std::make_unique<core::ControlTiming>(
+      phy_.get(), codec_->collection_bits(), codec_->distribution_bits());
   std::int64_t payload = cfg_.slot_payload_bytes;
   if (payload == 0) {
     // Auto payload: the exact control-phase budget.  Eq. 2 counts only
-    // propagation + passthrough; the collection packet's own bits (one
-    // control bit rides per payload byte) and the distribution packet
-    // must also fit the slot -- a constraint Eq. 2 leaves implicit and
-    // which dominates on short rings.  Explicitly configured payloads
-    // are only held to the paper's Eq. 2 (SlotTiming validates).
-    payload = std::max(core::SlotTiming::min_payload_bytes(*phy_) +
-                           codec_->collection_bits() +
-                           codec_->distribution_bits(),
-                       cfg_.default_payload_floor);
+    // propagation + passthrough; the collection packet's own bits and
+    // the distribution packet must also fit the slot -- a constraint
+    // Eq. 2 leaves implicit and which dominates on short rings.
+    // Explicitly configured payloads are only held to the paper's Eq. 2
+    // (SlotTiming validates).
+    payload =
+        std::max(control_->min_payload_bytes(), cfg_.default_payload_floor);
   }
   timing_ = std::make_unique<core::SlotTiming>(*phy_, payload);
-  control_ = std::make_unique<core::ControlTiming>(
-      phy_.get(), codec_->collection_bits(), codec_->distribution_bits());
   mapper_ = make_mapper(cfg_);
   if (cfg_.protocol_factory) {
     protocol_ = cfg_.protocol_factory(*phy_, topo_, cfg_);
@@ -88,7 +86,6 @@ Network::Network(NetworkConfig cfg)
       core::AdmissionController(timing_->u_max(), cfg_.admission_policy);
   if (cfg_.planner) {
     core::HypercyclePlanner::Config pcfg;
-    pcfg.max_hyperperiod_slots = cfg_.planner_max_hyperperiod_slots;
     pcfg.spatial_reuse = cfg_.spatial_reuse;
     planner_ = std::make_unique<core::HypercyclePlanner>(
         phy_.get(), topo_, timing_->slot(), pcfg);
@@ -1240,7 +1237,9 @@ void Network::plan_adopt_releases() {
   const sim::Duration t_slot = timing_->slot();
   std::size_t entries = 0;
   for (const auto& [id, st] : releases_) {
-    if (st.open) entries += static_cast<std::size_t>(h / st.params.period_slots);
+    if (st.open) {
+      entries += static_cast<std::size_t>(h / st.params.period_slots);
+    }
   }
   if (entries > kMaxPlanReleaseEntries) return;  // keep the events
   plan_releases_.clear();

@@ -12,9 +12,6 @@
 // original -- so repair work competes at the urgency it actually has.
 // A transfer whose budget no longer covers an attempt is abandoned
 // early, releasing its slots to messages that can still make it.
-//
-// The legacy synthetic-loss mode (Params::loss_probability, for runs
-// without a physical fault model) is kept but deprecated.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +22,6 @@
 #include "common/nodeset.hpp"
 #include "common/types.hpp"
 #include "net/network.hpp"
-#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace ccredf::services {
@@ -33,18 +29,6 @@ namespace ccredf::services {
 class ReliableChannel : private net::SlotHook {
  public:
   struct Params {
-    /// DEPRECATED: probability a transfer is synthetically corrupted
-    /// (pre-dates the physical data-channel fault model; prefer
-    /// fault::FaultInjector::set_data_ber with with_payload_crc, which
-    /// exercises the real NACK wire).  Still honoured; a one-time trace
-    /// warning is emitted when non-zero.
-    double loss_probability = 0.0;
-    /// Ack timeout (as a multiple of the worst-case slot extent), counted
-    /// from the moment the sender observes its own transmission complete
-    /// -- queueing delay never triggers a spurious retransmission.  Used
-    /// by the legacy synthetic-loss path only; NACKed transfers need no
-    /// timeout (the NACK rides the very next distribution packet).
-    std::int64_t timeout_slots = 8;
     /// Give up after this many attempts (0 = never).
     int max_attempts = 16;
     /// Budget retransmissions against the transfer deadline: retransmit
@@ -57,7 +41,6 @@ class ReliableChannel : private net::SlotHook {
     /// sender learning its fate (the ack/NACK rides the next
     /// distribution packet); part of the per-attempt budget.
     std::int64_t ack_margin_slots = 1;
-    std::uint64_t seed = 42;
   };
 
   struct TransferResult {
@@ -75,7 +58,7 @@ class ReliableChannel : private net::SlotHook {
 
   /// Attaches to `net` as a slot hook; `net` must outlive the channel.
   ReliableChannel(net::Network& net, Params params);
-  /// Detaches and cancels the pending ack timeouts.
+  /// Detaches and cancels the pending NACK resolutions.
   ~ReliableChannel() override;
 
   /// Sends `size_slots` of data from `src` to `dst` reliably as
@@ -108,8 +91,8 @@ class ReliableChannel : private net::SlotHook {
     sim::TimePoint deadline;
     int attempts = 0;
     MessageId current_attempt = 0;
-    /// Pending ack-timeout / NACK-resolve event, if any.
-    std::optional<sim::EventId> timeout_event;
+    /// Pending NACK-resolve event, if any.
+    std::optional<sim::EventId> resolve_event;
     CompletionCallback cb;
   };
 
@@ -120,8 +103,8 @@ class ReliableChannel : private net::SlotHook {
     return limit;
   }
   void attempt(Transfer& t);
-  /// Fires when the sender learns an attempt failed (ack timeout or
-  /// NACK arrival): retransmit, or abandon if the budget ran out.
+  /// Fires when the sender learns an attempt failed (its NACK
+  /// arrived): retransmit, or abandon if the budget ran out.
   void on_resolve(MessageId transfer_id);
   void finish(Transfer& t, bool delivered, bool abandoned,
               sim::TimePoint completed);
@@ -130,11 +113,9 @@ class ReliableChannel : private net::SlotHook {
   Transfer* claim_attempt(MessageId id);
   /// True while the remaining laxity covers one more worst-case attempt.
   [[nodiscard]] bool budget_covers_attempt(const Transfer& t) const;
-  [[nodiscard]] sim::Duration timeout() const;
 
   net::Network& net_;
   Params params_;
-  sim::Rng rng_;
   /// Keyed by transfer id; `by_attempt_` maps in-flight message ids back.
   std::unordered_map<MessageId, Transfer> live_;
   std::unordered_map<MessageId, MessageId> by_attempt_;

@@ -21,23 +21,49 @@ TEST(Tuner, MinLegalPayloadCoversBothConstraints) {
   EXPECT_NO_THROW(core::SlotTiming(ring, min));
 }
 
+// Both control phases share the slot, so the minimum is the SUM of the
+// Eq. 2 propagation term and the control-frame bits, whichever of the
+// two dominates.
 TEST(Tuner, FrameBitsDominateOnShortRings) {
-  // 4 nodes, 5 m: Eq. 2 minimum is 48 B but the collection packet alone
-  // is 53 bits + distribution 7 -> 60 ticks; frame budget wins... compute
-  // dynamically to stay robust.
   const phy::RingPhy ring(phy::optobus(), 4, 5.0);
   const core::FrameCodec codec(4, core::PriorityLayout{}, false);
   const auto eq2 = core::SlotTiming::min_payload_bytes(ring);
   const auto frames = codec.collection_bits() + codec.distribution_bits();
   EXPECT_GT(frames, eq2);
-  EXPECT_EQ(min_legal_payload(ring, codec), frames);
+  EXPECT_EQ(min_legal_payload(ring, codec), eq2 + frames);
 }
 
 TEST(Tuner, PropagationDominatesOnLongRings) {
   const phy::RingPhy ring(phy::optobus(), 8, 100.0);
   const core::FrameCodec codec(8, core::PriorityLayout{}, false);
-  EXPECT_EQ(min_legal_payload(ring, codec),
-            core::SlotTiming::min_payload_bytes(ring));
+  const auto eq2 = core::SlotTiming::min_payload_bytes(ring);
+  const auto frames = codec.collection_bits() + codec.distribution_bits();
+  EXPECT_GT(eq2, frames);
+  EXPECT_EQ(min_legal_payload(ring, codec), eq2 + frames);
+}
+
+TEST(Tuner, MinimumFitsBothControlPhasesOnEveryRing) {
+  for (const NodeId nodes : {2U, 4U, 8U, 16U, 32U, 64U}) {
+    for (const double length_m : {5.0, 10.0, 100.0}) {
+      SCOPED_TRACE(testing::Message()
+                   << nodes << " nodes, " << length_m << " m");
+      const phy::RingPhy ring(phy::optobus(), nodes, length_m);
+      const core::FrameCodec codec(nodes, core::PriorityLayout{}, false);
+      const core::ControlTiming control(&ring, codec.collection_bits(),
+                                        codec.distribution_bits());
+      const auto min = min_legal_payload(ring, codec);
+      EXPECT_EQ(min, control.min_payload_bytes());
+      EXPECT_TRUE(control.fits_slot(ring.link().data_time(min)));
+      EXPECT_FALSE(control.fits_slot(ring.link().data_time(min - 1)));
+      for (const std::int64_t target_us : {1, 2, 5, 10, 50, 200}) {
+        const auto t =
+            tune_slot_size(ring, codec, Duration::microseconds(target_us));
+        if (t.feasible) {
+          EXPECT_TRUE(control.fits_slot(t.slot));
+        }
+      }
+    }
+  }
 }
 
 TEST(Tuner, MeetsLatencyTarget) {

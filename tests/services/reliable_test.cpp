@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "common/error.hpp"
 #include "fault/injector.hpp"
 
@@ -44,12 +42,12 @@ TEST(Reliable, LosslessTransferCompletesFirstAttempt) {
 }
 
 TEST(Reliable, LossTriggersRetransmission) {
-  net::Network n(cfg6());
-  ReliableChannel::Params p;
-  p.loss_probability = 0.5;
-  p.seed = 3;
-  p.timeout_slots = 4;
-  ReliableChannel ch(n, p);
+  // Corruption on the data fibres, caught by the receivers' CRC-32 and
+  // NACKed: every transfer still completes, some only after a repeat.
+  net::Network n(cfg6_payload_crc());
+  fault::FaultInjector inj(n, /*seed=*/3);
+  inj.set_data_ber(1e-4);
+  ReliableChannel ch(n, ReliableChannel::Params{});
   int completed = 0;
   for (int i = 0; i < 20; ++i) {
     ch.send(0, 3, 1, Duration::milliseconds(50),
@@ -65,35 +63,32 @@ TEST(Reliable, LossTriggersRetransmission) {
 }
 
 TEST(Reliable, RetriedTransferTakesLonger) {
-  net::Network lossless(cfg6());
-  net::Network lossy(cfg6());
+  net::Network lossless(cfg6_payload_crc());
+  net::Network lossy(cfg6_payload_crc());
+  fault::FaultInjector inj(lossy, /*seed=*/5);
+  inj.set_data_ber(3e-4);
   ReliableChannel ok(lossless, ReliableChannel::Params{});
-  ReliableChannel::Params p;
-  p.loss_probability = 0.9;
-  p.seed = 5;
-  p.timeout_slots = 4;
-  ReliableChannel bad(lossy, p);
+  ReliableChannel bad(lossy, ReliableChannel::Params{});
 
-  sim::TimePoint t_ok, t_bad;
+  ReliableChannel::TransferResult r_ok, r_bad;
   ok.send(0, 3, 1, Duration::milliseconds(100),
-          [&](const ReliableChannel::TransferResult& r) {
-            t_ok = r.completed;
-          });
+          [&](const ReliableChannel::TransferResult& r) { r_ok = r; });
   bad.send(0, 3, 1, Duration::milliseconds(100),
-           [&](const ReliableChannel::TransferResult& r) {
-             t_bad = r.completed;
-           });
+           [&](const ReliableChannel::TransferResult& r) { r_bad = r; });
   lossless.run_slots(800);
   lossy.run_slots(800);
-  EXPECT_GT(t_bad, t_ok);
+  ASSERT_TRUE(r_ok.delivered);
+  ASSERT_TRUE(r_bad.delivered);
+  EXPECT_GT(r_bad.attempts, 1);
+  EXPECT_GT(r_bad.completed, r_ok.completed);
 }
 
 TEST(Reliable, GivesUpAfterMaxAttempts) {
-  net::Network n(cfg6());
+  net::Network n(cfg6_payload_crc());
+  fault::FaultInjector inj(n, /*seed=*/7);
+  inj.set_data_ber(1e-2);  // every payload arrives corrupted
   ReliableChannel::Params p;
-  p.loss_probability = 0.999999;  // effectively always lost
   p.max_attempts = 3;
-  p.timeout_slots = 2;
   ReliableChannel ch(n, p);
   ReliableChannel::TransferResult result;
   bool done = false;
@@ -105,16 +100,16 @@ TEST(Reliable, GivesUpAfterMaxAttempts) {
   n.run_slots(400);
   ASSERT_TRUE(done);
   EXPECT_FALSE(result.delivered);
+  EXPECT_FALSE(result.abandoned);  // the cap, not the laxity budget
   EXPECT_EQ(result.attempts, 3);
   EXPECT_EQ(ch.transfers_failed(), 1);
 }
 
 TEST(Reliable, ManyConcurrentTransfers) {
-  net::Network n(cfg6());
-  ReliableChannel::Params p;
-  p.loss_probability = 0.2;
-  p.seed = 11;
-  ReliableChannel ch(n, p);
+  net::Network n(cfg6_payload_crc());
+  fault::FaultInjector inj(n, /*seed=*/11);
+  inj.set_data_ber(5e-5);
+  ReliableChannel ch(n, ReliableChannel::Params{});
   int completed = 0;
   for (NodeId src = 0; src < 6; ++src) {
     for (int k = 0; k < 5; ++k) {
@@ -128,15 +123,13 @@ TEST(Reliable, ManyConcurrentTransfers) {
   }
   n.run_slots(3000);
   EXPECT_EQ(completed, 30);
+  EXPECT_GT(ch.retransmissions(), 0);
 }
 
 TEST(Reliable, RejectsBadParams) {
   net::Network n(cfg6());
   ReliableChannel::Params p;
-  p.loss_probability = 1.0;
-  EXPECT_THROW(ReliableChannel(n, p), ConfigError);
-  p = ReliableChannel::Params{};
-  p.timeout_slots = 0;
+  p.ack_margin_slots = -1;
   EXPECT_THROW(ReliableChannel(n, p), ConfigError);
 }
 
@@ -251,32 +244,6 @@ TEST(Reliable, InfiniteDeadlineIsNeverAbandoned) {
   EXPECT_FALSE(result.abandoned);
   EXPECT_EQ(result.attempts, 4);  // the cap, not the budget, ended it
   EXPECT_EQ(ch.transfers_abandoned(), 0);
-}
-
-// -- deprecated synthetic-loss mode --------------------------------------
-
-TEST(Reliable, DeprecatedLossProbabilityWarnsOnce) {
-  net::Network n(cfg6());
-  n.trace().enable(sim::TraceCategory::kService);
-  n.trace().set_capture(true);
-  ReliableChannel::Params p;
-  p.loss_probability = 0.25;
-  ReliableChannel ch(n, p);
-  int warnings = 0;
-  for (const auto& rec : n.trace().records()) {
-    if (rec.text.find("deprecated") != std::string::npos) ++warnings;
-  }
-  EXPECT_EQ(warnings, 1);
-}
-
-TEST(Reliable, CleanParamsEmitNoDeprecationWarning) {
-  net::Network n(cfg6());
-  n.trace().enable(sim::TraceCategory::kService);
-  n.trace().set_capture(true);
-  ReliableChannel ch(n, ReliableChannel::Params{});
-  for (const auto& rec : n.trace().records()) {
-    EXPECT_EQ(rec.text.find("deprecated"), std::string::npos);
-  }
 }
 
 }  // namespace

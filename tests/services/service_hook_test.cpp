@@ -253,7 +253,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::int64_t{0},
                                          std::int64_t{500})));
 
-// -- messenger + credit flow control -------------------------------------------
+// -- messenger + credit flow control ----------------------------------------
 
 Outcome messaging_run(bool fast_forward) {
   net::Network n(config(8, fast_forward));
@@ -352,17 +352,20 @@ TEST(ServiceLifetime, DestroyedFlowControlDetaches) {
 
 TEST(ServiceLifetime, DestroyedReliableChannelDetaches) {
   net::Network n(lifetime_config());
+  fault::FaultInjector inj(n, /*seed=*/9);
+  inj.set_data_ber(1e-4);  // some attempts NACKed, some delivered
   {
-    ReliableChannel::Params p;
-    p.loss_probability = 0.9;  // deliveries arm ack timeouts
-    p.timeout_slots = 4;
-    ReliableChannel ch(n, p);
+    ReliableChannel ch(n, ReliableChannel::Params{});
     for (int i = 0; i < 6; ++i) {
       ch.send(0, 4, 2, Duration::milliseconds(1),
               [](const ReliableChannel::TransferResult&) {});
     }
-    n.run_slots(6);  // the first attempts delivered, their timeouts pending
-    ASSERT_GT(n.stats().cls(TrafficClass::kBestEffort).delivered, 0);
+    // Stop at the slot end that saw the first NACK: its resolution is
+    // still pending when the channel goes away.
+    for (int s = 0; s < 100 && ch.nacks_received() == 0; ++s) {
+      n.run_slots(1);
+    }
+    ASSERT_GT(ch.nacks_received(), 0);
   }
   run_on(n, n.stats().cls(TrafficClass::kBestEffort).delivered);
 }
