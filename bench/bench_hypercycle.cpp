@@ -107,6 +107,18 @@ double time_window(net::Network& n, double min_seconds) {
   return static_cast<double>(n.stats().slots - slots0) / elapsed;
 }
 
+/// Planned-slot fraction of a fresh planner-on cell over its first
+/// 25 000 slots.  The timed windows run for a wall-clock-dependent number
+/// of slots, so the JSON key is read here instead: a pure function of
+/// the connection set.
+double fixed_planned_fraction(
+    const std::vector<core::ConnectionParams>& set) {
+  net::Network n(cell_config(bench::Protocol::kCcrEdf, true));
+  (void)bench::open_all(n, set);
+  n.run_slots(25'000);
+  return n.stats().planned_slot_fraction();
+}
+
 struct EngineTiming {
   double best_a = 0.0;  // slots/s, best window
   double best_b = 0.0;
@@ -257,7 +269,11 @@ int main(int argc, char** argv) {
   const EngineTiming timing = time_engines(net_on, net_off, min_seconds);
   const double rate_on = timing.best_a;
   const double rate_off = timing.best_b;
-  const double planned_on = net_on.stats().planned_slot_fraction();
+  const double planned_on = fixed_planned_fraction(busy);
+  const double planned_again = fixed_planned_fraction(busy);
+  h.gate("E23b", planned_again == planned_on,
+         "planner32 planned_slot_fraction differs between two fresh runs (",
+         planned_on, " vs ", planned_again, ")");
   for (net::Network* n : {&net_on, &net_off}) {
     const bench::RunDigest d = bench::digest(*n);
     h.gate("E23b", d.rt_sched_miss == 0.0 && d.rt_user_miss == 0.0,

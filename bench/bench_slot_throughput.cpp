@@ -9,9 +9,11 @@
 // exactly as every experiment binary runs it; --no-fast-forward times the
 // slot-by-slot path instead, so the two JSON documents diffed against
 // each other measure the fast-forward speedup.  Each cell also records
-// fast_forward_ratio -- the fraction of simulated slots the engine
-// skipped arithmetically -- and the document records hardware_threads so
-// wall-clock numbers are read against the host they came from.  Each
+// fast_forward_ratio -- the fraction of the first 25 000 slots the engine
+// skipped arithmetically, read over that fixed slot count so it is a
+// pure function of the cell (gate E16: two fresh runs agree) -- and the
+// document records hardware_threads so wall-clock numbers are read
+// against the host they came from.  Each
 // cell reports the best of five timed repetitions: the fastest pass is
 // the closest observable to the engine's real cost on a host with noisy
 // neighbours, and the simulation is deterministic regardless.
@@ -19,6 +21,7 @@
 // Usage: bench_slot_throughput [--quick] [--no-fast-forward]
 //                              [--json <path>]
 #include <chrono>
+#include <memory>
 #include <string>
 
 #include "bench_common.hpp"
@@ -40,24 +43,45 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-Sample run_config(NodeId nodes, double load_fraction, double min_seconds,
-                  bool fast_forward) {
+// Slots the fast-forward ratio is read over (they double as warm-up:
+// queues, pools and scratch buffers reach steady state).
+constexpr std::int64_t kRatioSlots = 25'000;
+
+struct Cell {
+  std::unique_ptr<net::Network> net;
+  int connections = 0;
+};
+
+/// A fresh network with the cell's periodic set opened.
+Cell open_cell(NodeId nodes, double load_fraction, bool fast_forward) {
   net::NetworkConfig cfg = bench::make_config(nodes, bench::Protocol::kCcrEdf);
   cfg.record_inboxes = false;  // unbounded inboxes would dominate memory
   cfg.fast_forward = fast_forward;
-  net::Network n(cfg);
-
+  Cell c;
+  c.net = std::make_unique<net::Network>(cfg);
   workload::PeriodicSetParams wp;
   wp.nodes = nodes;
   wp.connections = static_cast<int>(nodes);
-  wp.total_utilisation = load_fraction * n.admission().u_max();
+  wp.total_utilisation = load_fraction * c.net->admission().u_max();
   wp.seed = 42;
-  Sample s;
-  s.connections = bench::open_all(n, workload::make_periodic_set(wp));
-  s.sim_utilisation = n.admission().utilisation();
+  c.connections = bench::open_all(*c.net, workload::make_periodic_set(wp));
+  return c;
+}
 
-  // Warm-up: let queues, pools and scratch buffers reach steady state.
-  n.run_slots(5'000);
+/// Fast-forward ratio over the cell's first kRatioSlots slots.
+double fixed_ff_ratio(net::Network& n) {
+  n.run_slots(kRatioSlots);
+  return n.stats().fast_forward_ratio();
+}
+
+Sample run_config(NodeId nodes, double load_fraction, double min_seconds,
+                  bool fast_forward) {
+  Cell c = open_cell(nodes, load_fraction, fast_forward);
+  net::Network& n = *c.net;
+  Sample s;
+  s.connections = c.connections;
+  s.sim_utilisation = n.admission().utilisation();
+  s.fast_forward_ratio = fixed_ff_ratio(n);
 
   // Best of five timed repetitions: wall-clock throughput on a shared
   // or virtualised host dips unpredictably (scheduler preemption, noisy
@@ -82,7 +106,6 @@ Sample run_config(NodeId nodes, double load_fraction, double min_seconds,
           static_cast<double>(n.sim().events_fired() - events0) / elapsed;
     }
   }
-  s.fast_forward_ratio = n.stats().fast_forward_ratio();
   return s;
 }
 
@@ -123,6 +146,11 @@ int main(int argc, char** argv) {
       h.set(key + ",slots_per_sec", s.slots_per_sec);
       h.set(key + ",events_per_sec", s.events_per_sec);
       h.set(key + ",fast_forward_ratio", s.fast_forward_ratio);
+      Cell again = open_cell(nodes, load, fast_forward);
+      const double ratio_again = fixed_ff_ratio(*again.net);
+      h.gate("E16", ratio_again == s.fast_forward_ratio, key,
+             " fast_forward_ratio differs between two fresh runs (",
+             s.fast_forward_ratio, " vs ", ratio_again, ")");
     }
   }
   h.set("fast_forward", fast_forward ? 1.0 : 0.0);

@@ -42,8 +42,12 @@ for preset in "${PRESETS[@]}"; do
   ctest --preset "${preset}"
 done
 
+# Bench JSON goes under the build tree, never into the source tree.
+BENCH_JSON_DIR=build-release/bench-json
+mkdir -p "${BENCH_JSON_DIR}"
+
 # run_bench NAME [ARGS...]: run a release bench with --json and validate
-# the document it wrote.
+# the document it wrote (BENCH_JSON_DIR/BENCH_<name>.json).
 run_bench() {
   local name="$1"
   shift
@@ -52,7 +56,7 @@ run_bench() {
     echo "check.sh: FATAL: bench binary missing: ${bin}" >&2
     exit 1
   fi
-  local json="BENCH_${name#bench_}.json"
+  local json="${BENCH_JSON_DIR}/BENCH_${name#bench_}.json"
   echo "==== bench: ${name} (release) ===="
   "${bin}" "$@" --json "${json}"
   python3 scripts/validate_bench_json.py "${json}"

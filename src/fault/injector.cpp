@@ -189,26 +189,27 @@ SlotIndex FaultInjector::first_idle_fault_slot(SlotIndex from,
 
   // Random axes: replay the keyed draws of each slot.  Exposure is
   // constant across an idle stretch (master and failure set are frozen
-  // while the engine fast-forwards), so per-node path probabilities are
-  // computed once.
+  // while the engine fast-forwards), so per-node path exposures are
+  // looked up once.
   const bool ber_active = ber_.has_value() && ber_->enabled();
   const bool babble_active = babble_p_ > 0.0 && babbler_ != kInvalidNode &&
                              !net_.node(babbler_).failed();
   if (!ber_active && !babble_active && random_loss_p_ <= 0.0) return lim;
 
+  using Exposure = phy::BitErrorModel::Exposure;
   const NodeId n = net_.nodes();
   const NodeId master = net_.current_master();
-  std::array<double, kMaxNodes> collection_p{};
+  std::array<const Exposure*, kMaxNodes> collection{};
   std::size_t live = 0;
   std::array<NodeId, kMaxNodes> live_node{};
   std::size_t request_bits = 0;
   std::size_t distribution_bits = 0;
-  double distribution_p = 0.0;
+  const Exposure* distribution = nullptr;
   if (ber_active) {
     const core::FrameCodec& codec = net_.codec();
     request_bits = static_cast<std::size_t>(codec.request_bits());
     distribution_bits = static_cast<std::size_t>(codec.distribution_bits());
-    distribution_p = ber_->path_error_probability(master, n - 1);
+    distribution = &ber_->path_exposure(master, n - 1);
     for (NodeId h = 0; h < n; ++h) {
       const NodeId j = net_.topology().downstream(master, h);
       if (net_.node(j).failed()) continue;
@@ -216,7 +217,7 @@ SlotIndex FaultInjector::first_idle_fault_slot(SlotIndex from,
       // the master (the master's own record rides the whole loop).
       const NodeId hops = h == 0 ? n : n - h;
       live_node[live] = j;
-      collection_p[live] = ber_->path_error_probability(j, hops);
+      collection[live] = &ber_->path_exposure(j, hops);
       ++live;
     }
   }
@@ -233,11 +234,11 @@ SlotIndex FaultInjector::first_idle_fault_slot(SlotIndex from,
     if (!ber_active) continue;
     for (std::size_t i = 0; i < live; ++i) {
       if (ber_->count_flips(s, kChanCollection + live_node[i],
-                            collection_p[i], request_bits) != 0) {
+                            *collection[i], request_bits) != 0) {
         return s;
       }
     }
-    if (ber_->count_flips(s, kChanDistribution, distribution_p,
+    if (ber_->count_flips(s, kChanDistribution, *distribution,
                           distribution_bits) != 0) {
       return s;
     }
@@ -305,20 +306,27 @@ net::FaultHook::RequestFault FaultInjector::filter_request(
   // Wire-image corruption: scheduled flips, else link bit errors.
   const bool ber_active = ber_.has_value() && ber_->enabled();
   if (!targeted && !ber_active) return RequestFault::kNone;
-  core::FrameCodec::Encoded enc = codec.encode_request(rq);
-  const std::int64_t before = bits_flipped_;
+  core::FrameCodec::Encoded enc;
   if (targeted) {
+    enc = codec.encode_request(rq);
     flip_bits(enc, targeted->bits, slot, kChanTargeted + node);
   } else {
     // Node j writes its record at hop h and the record rides the rest
     // of the ring back to the master; the master's own record (hop 0)
     // rides the whole loop.  Its first exposed link is link j.
     const NodeId hops = hop == 0 ? net_.nodes() : net_.nodes() - hop;
-    const double p = ber_->path_error_probability(node, hops);
+    const auto& p = ber_->path_exposure(node, hops);
+    // Draw first: the flips are keyed on (slot, channel) and never read
+    // the frame, so a record the draw misses is delivered intact without
+    // building its wire image; a hit replays the same draws on it.
+    const auto bits = static_cast<std::size_t>(codec.request_bits());
+    if (ber_->count_flips(slot, kChanCollection + node, p, bits) == 0) {
+      return RequestFault::kNone;
+    }
+    enc = codec.encode_request(rq);
     bits_flipped_ += ber_->corrupt(slot, kChanCollection + node, p,
                                    enc.bytes.data(), enc.bit_count);
   }
-  if (bits_flipped_ == before) return RequestFault::kNone;
   const auto checked = codec.decode_request_checked(enc, node);
   if (!checked.ok) return RequestFault::kDetected;
   if (checked.request == rq) return RequestFault::kNone;
@@ -333,20 +341,24 @@ net::FaultHook::DistributionFault FaultInjector::filter_distribution(
   if (!targeted && !ber_active) return DistributionFault::kNone;
 
   const core::FrameCodec& codec = net_.codec();
-  core::FrameCodec::Encoded enc = codec.encode(p);
-  const std::int64_t before = bits_flipped_;
+  core::FrameCodec::Encoded enc;
   if (targeted) {
+    enc = codec.encode(p);
     flip_bits(enc, targeted->bits, slot, kChanDistribution);
   } else {
     // Worst-case receiver: the node N-1 links downstream of the master
-    // sees the packet after its full exposure.
-    const NodeId master = net_.current_master();
-    const double pb =
-        ber_->path_error_probability(master, net_.nodes() - 1);
+    // sees the packet after its full exposure.  Draw first, as in
+    // filter_request.
+    const auto& pb =
+        ber_->path_exposure(net_.current_master(), net_.nodes() - 1);
+    const auto bits = static_cast<std::size_t>(codec.distribution_bits());
+    if (ber_->count_flips(slot, kChanDistribution, pb, bits) == 0) {
+      return DistributionFault::kNone;
+    }
+    enc = codec.encode(p);
     bits_flipped_ += ber_->corrupt(slot, kChanDistribution, pb,
                                    enc.bytes.data(), enc.bit_count);
   }
-  if (bits_flipped_ == before) return DistributionFault::kNone;
   const auto checked = codec.decode_distribution_checked(enc);
   if (!checked.ok) return DistributionFault::kDetected;
   if (checked.packet.hp_node != p.hp_node) {
@@ -369,7 +381,7 @@ net::FaultHook::DataFault FaultInjector::filter_data(
   if (take(payload_corruptions_, slot, source)) {
     flips = 1;
   } else if (data_ber_.has_value() && data_ber_->enabled()) {
-    const double p = data_ber_->path_error_probability(source, hops);
+    const auto& p = data_ber_->path_exposure(source, hops);
     flips = data_ber_->count_flips(
         slot, kChanData + source, p,
         static_cast<std::size_t>(payload_bits));

@@ -21,6 +21,7 @@ BitErrorModel::BitErrorModel(NodeId nodes, double ber,
   validate_ber(ber);
   link_ber_.assign(nodes, ber);
   enabled_ = ber > 0.0;
+  build_path_table();
 }
 
 BitErrorModel::BitErrorModel(std::vector<double> link_ber,
@@ -32,6 +33,7 @@ BitErrorModel::BitErrorModel(std::vector<double> link_ber,
     validate_ber(b);
     if (b > 0.0) enabled_ = true;
   }
+  build_path_table();
 }
 
 double BitErrorModel::link_ber(LinkId link) const {
@@ -40,43 +42,52 @@ double BitErrorModel::link_ber(LinkId link) const {
   return link_ber_[link];
 }
 
-double BitErrorModel::path_error_probability(LinkId first,
-                                             NodeId hops) const {
-  CCREDF_EXPECT(hops <= nodes(), "BitErrorModel: path longer than ring");
-  double survive = 1.0;
-  for (NodeId i = 0; i < hops; ++i) {
-    survive *= 1.0 - link_ber_[(first + i) % nodes()];
+void BitErrorModel::build_path_table() {
+  // Prefix products: the survival product of hops h extends that of
+  // h - 1 by one factor, multiplied in the same link order as a loop
+  // from `first`, so each entry is bit-identical to the loop's result.
+  const NodeId n = nodes();
+  path_.clear();
+  path_.reserve(static_cast<std::size_t>(n) * (n + 1u));
+  for (NodeId first = 0; first < n; ++first) {
+    double survive = 1.0;
+    path_.emplace_back(1.0 - survive);
+    for (NodeId h = 1; h <= n; ++h) {
+      survive *= 1.0 - link_ber_[(first + h - 1) % n];
+      path_.emplace_back(1.0 - survive);
+    }
   }
-  return 1.0 - survive;
 }
 
-int BitErrorModel::corrupt(SlotIndex slot, std::uint64_t channel, double p,
-                           std::uint8_t* bytes, std::size_t nbits) const {
-  return sample_flips(slot, channel, p, bytes, nbits);
+int BitErrorModel::corrupt(SlotIndex slot, std::uint64_t channel,
+                           const Exposure& e, std::uint8_t* bytes,
+                           std::size_t nbits) const {
+  return sample_flips(slot, channel, e, bytes, nbits);
 }
 
 int BitErrorModel::count_flips(SlotIndex slot, std::uint64_t channel,
-                               double p, std::size_t nbits) const {
-  return sample_flips(slot, channel, p, nullptr, nbits);
+                               const Exposure& e, std::size_t nbits) const {
+  return sample_flips(slot, channel, e, nullptr, nbits);
 }
 
 int BitErrorModel::sample_flips(SlotIndex slot, std::uint64_t channel,
-                                double p, std::uint8_t* bytes,
+                                const Exposure& e, std::uint8_t* bytes,
                                 std::size_t nbits) const {
-  if (p <= 0.0 || nbits == 0) return 0;
-  CCREDF_EXPECT(p < 1.0, "BitErrorModel: corruption probability >= 1");
+  if (e.p <= 0.0 || nbits == 0) return 0;
+  CCREDF_EXPECT(e.p < 1.0, "BitErrorModel: corruption probability >= 1");
   sim::Rng rng =
       sim::Rng::stream(seed_, static_cast<std::uint64_t>(slot), channel);
   // Geometric skip sampling: instead of one Bernoulli draw per bit, draw
   // the gap to the next flipped bit directly -- O(flips), not O(bits),
   // so BER 1e-9 on a 100-bit frame costs one draw, not 100.
-  const double log1mp = std::log1p(-p);
+  double u = rng.uniform01();
+  // Most frames are clean; the screen decides those without a logarithm.
+  if (u >= clean_frame_threshold(e.log1mp, nbits)) return 0;
   int flips = 0;
   std::size_t pos = 0;
   while (true) {
-    const double u = rng.uniform01();
     // skip = floor(log(1-u)/log(1-p)) is geometric with support {0,...}.
-    const double skip = std::floor(std::log1p(-u) / log1mp);
+    const double skip = std::floor(std::log1p(-u) / e.log1mp);
     // Guard the double->index conversion: a huge skip means "no more
     // flips in this frame" long before the cast could overflow.
     if (!(skip < static_cast<double>(nbits - pos))) break;
@@ -87,6 +98,7 @@ int BitErrorModel::sample_flips(SlotIndex slot, std::uint64_t channel,
     ++flips;
     ++pos;
     if (pos >= nbits) break;
+    u = rng.uniform01();
   }
   return flips;
 }

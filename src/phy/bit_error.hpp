@@ -18,9 +18,11 @@
 // fault injector.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 #include "sim/rng.hpp"
 
@@ -40,36 +42,71 @@ class BitErrorModel {
   /// True when at least one link has a non-zero error rate.
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Probability that a given bit is corrupted on the path starting at
-  /// link `first` and spanning `hops` consecutive links:
-  /// 1 - prod(1 - ber_l).  (An even number of flips of the SAME bit
-  /// re-corrupting it back is negligible at realistic BERs and ignored.)
-  [[nodiscard]] double path_error_probability(LinkId first,
-                                              NodeId hops) const;
+  /// A frame's per-bit error probability `p` together with log(1 - p),
+  /// the rate the flip sampler draws its geometric gaps with.  Built
+  /// from a bare `p` it takes the logarithm; path_exposure() returns a
+  /// tabled pair, so the fault path never does.
+  struct Exposure {
+    // Implicit on purpose: every sampler call may pass a bare `p`.
+    Exposure(double p_in) : p(p_in), log1mp(std::log1p(-p_in)) {}
+    double p;
+    double log1mp;
+  };
+
+  /// Exposure of a bit on the path starting at link `first` and spanning
+  /// `hops` consecutive links: p = 1 - prod(1 - ber_l).  (An even number
+  /// of flips of the SAME bit re-corrupting it back is negligible at
+  /// realistic BERs and ignored.)  A lookup: every (first, hops) pair is
+  /// tabled at construction, the product taken link by link from `first`,
+  /// so the fault path pays no per-frame loop or logarithm.
+  [[nodiscard]] const Exposure& path_exposure(LinkId first,
+                                              NodeId hops) const {
+    const NodeId n = nodes();
+    CCREDF_EXPECT(hops <= n, "BitErrorModel: path longer than ring");
+    return path_[static_cast<std::size_t>(first % n) * (n + 1u) + hops];
+  }
 
   /// Flips each of the `nbits` MSB-first packed bits in `bytes`
-  /// independently with probability `p`; returns the number of flips.
+  /// independently with probability `e.p`; returns the number of flips.
   /// All randomness is keyed on (slot, channel): two calls with the
   /// same coordinates flip the same bits, calls with different
   /// coordinates are statistically independent.  `channel` namespaces
   /// the frame (collection record of node j, distribution packet, ...).
-  int corrupt(SlotIndex slot, std::uint64_t channel, double p,
+  int corrupt(SlotIndex slot, std::uint64_t channel, const Exposure& e,
               std::uint8_t* bytes, std::size_t nbits) const;
 
   /// Counts the flips an `nbits`-bit frame would suffer at probability
-  /// `p`, without materialising any buffer -- data-channel payloads are
-  /// orders of magnitude larger than control frames and the reliability
-  /// model only needs to know whether (and how badly) a packet was hit.
-  /// Keyed identically to corrupt(): the same (slot, channel, p, nbits)
-  /// always yields the same count.
+  /// `e.p`, without materialising any buffer.  Keyed identically to
+  /// corrupt(): the same (slot, channel, p, nbits) always yields the
+  /// same count -- so a caller may count first and build the frame only
+  /// when it is hit.
   [[nodiscard]] int count_flips(SlotIndex slot, std::uint64_t channel,
-                                double p, std::size_t nbits) const;
+                                const Exposure& e, std::size_t nbits) const;
+
+  /// The sampler's first-draw screen.  Its exact rule: uniform `u`
+  /// starts the frame with a gap of floor(log1p(-u) / log1mp) clean
+  /// bits, so the frame is clean when that gap is >= nbits.  Since
+  /// log1p(-u) <= -u, every u >= nbits * -log1mp proves the frame clean
+  /// without the logarithm; the threshold sits a relative kScreenBand
+  /// above that bound, far wider than the few ulps of rounding in
+  /// log1p, the division and this product, so a screened draw is one
+  /// the exact rule also calls clean, and every other draw takes the
+  /// exact rule.
+  static constexpr double kScreenBand = 1e-9;
+  [[nodiscard]] static double clean_frame_threshold(double log1mp,
+                                                    std::size_t nbits) {
+    return static_cast<double>(nbits) * -log1mp * (1.0 + kScreenBand);
+  }
 
  private:
-  int sample_flips(SlotIndex slot, std::uint64_t channel, double p,
+  int sample_flips(SlotIndex slot, std::uint64_t channel, const Exposure& e,
                    std::uint8_t* bytes, std::size_t nbits) const;
 
+  void build_path_table();
+
   std::vector<double> link_ber_;
+  /// path_[first * (N + 1) + hops] = path_exposure(first, hops).
+  std::vector<Exposure> path_;
   std::uint64_t seed_;
   bool enabled_ = false;
 };

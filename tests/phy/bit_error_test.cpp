@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -36,17 +37,58 @@ TEST(BitErrorModel, EnabledOnlyWithNonZeroRate) {
 
 TEST(BitErrorModel, PathErrorProbabilityCompounds) {
   const BitErrorModel uniform(4, 0.1, kSeed);
-  EXPECT_DOUBLE_EQ(uniform.path_error_probability(0, 1), 0.1);
+  EXPECT_DOUBLE_EQ(uniform.path_exposure(0, 1).p, 0.1);
   // 1 - (1 - 0.1)^2 over two links.
-  EXPECT_NEAR(uniform.path_error_probability(0, 2), 0.19, 1e-12);
+  EXPECT_NEAR(uniform.path_exposure(0, 2).p, 0.19, 1e-12);
   // Full ring: 1 - 0.9^4.
-  EXPECT_NEAR(uniform.path_error_probability(2, 4), 1.0 - 0.6561, 1e-12);
+  EXPECT_NEAR(uniform.path_exposure(2, 4).p, 1.0 - 0.6561, 1e-12);
 
   // Per-link rates wrap around the ring from `first`.
   const BitErrorModel mixed(std::vector<double>{0.0, 0.5, 0.0, 0.0}, kSeed);
-  EXPECT_DOUBLE_EQ(mixed.path_error_probability(1, 1), 0.5);
-  EXPECT_DOUBLE_EQ(mixed.path_error_probability(2, 2), 0.0);
-  EXPECT_DOUBLE_EQ(mixed.path_error_probability(3, 3), 0.5);
+  EXPECT_DOUBLE_EQ(mixed.path_exposure(1, 1).p, 0.5);
+  EXPECT_DOUBLE_EQ(mixed.path_exposure(2, 2).p, 0.0);
+  EXPECT_DOUBLE_EQ(mixed.path_exposure(3, 3).p, 0.5);
+}
+
+TEST(BitErrorModel, PathTableIsBitIdenticalToTheLinkLoop) {
+  // The tabled probabilities (and their logarithms) must equal the
+  // per-call loop they replace to the last bit: every fault draw
+  // compares a uniform against them.
+  sim::Rng rng(77);
+  for (const NodeId n : {2u, 3u, 7u, 16u, 33u, 64u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> ber(n);
+      for (double& b : ber) {
+        // Log-uniform over [1e-12, 1e-1), with some exact zeros.
+        b = rng.bernoulli(0.2)
+                ? 0.0
+                : std::pow(10.0, rng.uniform_real(-12.0, -1.0));
+      }
+      const BitErrorModel m(ber, kSeed);
+      for (LinkId first = 0; first < n; ++first) {
+        for (NodeId hops = 0; hops <= n; ++hops) {
+          double survive = 1.0;
+          for (NodeId i = 0; i < hops; ++i) {
+            survive *= 1.0 - ber[(first + i) % n];
+          }
+          const double want = 1.0 - survive;
+          const BitErrorModel::Exposure& e = m.path_exposure(first, hops);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(e.p),
+                    std::bit_cast<std::uint64_t>(want))
+              << "n=" << n << " first=" << first << " hops=" << hops;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(e.log1mp),
+                    std::bit_cast<std::uint64_t>(std::log1p(-want)))
+              << "n=" << n << " first=" << first << " hops=" << hops;
+        }
+      }
+    }
+  }
+}
+
+TEST(BitErrorModel, PathLongerThanRingIsRejected) {
+  const BitErrorModel m(4, 0.1, kSeed);
+  EXPECT_NO_THROW((void)m.path_exposure(3, 4));
+  EXPECT_THROW((void)m.path_exposure(0, 5), ConfigError);
 }
 
 TEST(BitErrorModel, ZeroProbabilityNeverFlips) {
@@ -141,6 +183,100 @@ TEST(BitErrorModel, CountFlipsIsDeterministicAndKeyed) {
     total += m.count_flips(s, 9, 0.1, 200);
   }
   EXPECT_NEAR(static_cast<double>(total) / 2000.0, 20.0, 1.0);
+}
+
+// The exact first-draw rule: the frame is clean when the first gap,
+// floor(log1p(-u) / log1mp), covers all `nbits` bits.
+bool exact_clean(double u, double log1mp, std::size_t nbits) {
+  return !(std::floor(std::log1p(-u) / log1mp) <
+           static_cast<double>(nbits));
+}
+
+// The sampler's first-draw decision: screened clean at or above the
+// threshold, the exact rule below it.
+bool sampler_clean(double u, double thr, double log1mp, std::size_t nbits) {
+  return u >= thr || exact_clean(u, log1mp, nbits);
+}
+
+TEST(BitErrorModel, CleanFrameScreenNeverOverrulesTheExactRule) {
+  // A draw at or above the screen threshold is returned clean without
+  // the logarithm; the exact rule must call every such draw clean too,
+  // so the sampler's decision equals the exact rule's for every u.
+  // 8 x 6 x 21'000 > 10^6 random draws, half of them near the band.
+  const double ps[] = {1e-15, 1e-9, 1e-6, 1.6e-5, 1e-3, 0.1, 0.5, 0.9};
+  const std::size_t sizes[] = {1, 13, 41, 57, 2720, 100'000};
+  sim::Rng rng(2024);
+  std::int64_t screened = 0;
+  for (const double p : ps) {
+    const double log1mp = BitErrorModel::Exposure(p).log1mp;
+    for (const std::size_t nbits : sizes) {
+      const double thr = BitErrorModel::clean_frame_threshold(log1mp, nbits);
+      const double bound = static_cast<double>(nbits) * -log1mp;
+      // Exactly at the threshold, one ulp either side of it, and at both
+      // edges of the band.
+      for (const double u :
+           {thr, std::nextafter(thr, 0.0), std::nextafter(thr, 1.0), bound,
+            std::nextafter(bound, 0.0), std::nextafter(bound, 1.0)}) {
+        if (u >= 1.0) continue;
+        EXPECT_EQ(sampler_clean(u, thr, log1mp, nbits),
+                  exact_clean(u, log1mp, nbits))
+            << "p=" << p << " nbits=" << nbits << " u=" << u;
+      }
+      // Random draws: uniform over [0, 1) and clustered around the band.
+      for (int i = 0; i < 21'000; ++i) {
+        double u = rng.uniform01();
+        if (i % 2 == 1) u = thr * (1.0 + rng.uniform_real(-1e-6, 1e-6));
+        if (i % 4 == 3) u = thr * (1.0 + rng.uniform_real(-1e-8, 1e-8));
+        if (u >= 1.0) continue;
+        if (u >= thr) ++screened;
+        ASSERT_EQ(sampler_clean(u, thr, log1mp, nbits),
+                  exact_clean(u, log1mp, nbits))
+            << "p=" << p << " nbits=" << nbits << " u=" << u;
+      }
+    }
+  }
+  EXPECT_GT(screened, 0);
+}
+
+TEST(BitErrorModel, SamplerMatchesTheUnscreenedReference) {
+  // The geometric-skip sampler written without the screen and without
+  // tabled logarithms: every flip position must agree.
+  const auto reference = [](std::uint64_t seed, SlotIndex slot,
+                            std::uint64_t channel, double p,
+                            std::uint8_t* bytes, std::size_t nbits) {
+    sim::Rng rng =
+        sim::Rng::stream(seed, static_cast<std::uint64_t>(slot), channel);
+    const double log1mp = std::log1p(-p);
+    int flips = 0;
+    std::size_t pos = 0;
+    while (true) {
+      const double u = rng.uniform01();
+      const double skip = std::floor(std::log1p(-u) / log1mp);
+      if (!(skip < static_cast<double>(nbits - pos))) break;
+      pos += static_cast<std::size_t>(skip);
+      bytes[pos / 8] ^= static_cast<std::uint8_t>(0x80u >> (pos % 8));
+      ++flips;
+      ++pos;
+      if (pos >= nbits) break;
+    }
+    return flips;
+  };
+  const BitErrorModel m(std::vector<double>{1e-6, 1e-4, 1e-3, 0.02}, kSeed);
+  for (LinkId first = 0; first < 4; ++first) {
+    for (NodeId hops = 1; hops <= 4; ++hops) {
+      const BitErrorModel::Exposure& e = m.path_exposure(first, hops);
+      for (const std::size_t nbits : {std::size_t{41}, std::size_t{2752}}) {
+        for (SlotIndex s = 0; s < 400; ++s) {
+          auto want = zeroes(nbits);
+          auto got = zeroes(nbits);
+          const int wf = reference(kSeed, s, 5, e.p, want.data(), nbits);
+          ASSERT_EQ(m.corrupt(s, 5, e, got.data(), nbits), wf);
+          ASSERT_EQ(got, want);
+          ASSERT_EQ(m.count_flips(s, 5, e, nbits), wf);
+        }
+      }
+    }
+  }
 }
 
 TEST(BitErrorModel, SeedChangesTheStream) {
