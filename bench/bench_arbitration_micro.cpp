@@ -131,26 +131,6 @@ void BM_PlannerBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_PlannerBuild)->Arg(8)->Arg(32);
 
-void BM_PlannerLookup(benchmark::State& state) {
-  // The O(1) nominal-grid lookup the planned collection phase rides:
-  // one table read per slot, in place of sort-and-arbitrate.
-  const auto n = static_cast<NodeId>(state.range(0));
-  const phy::RingPhy phy(phy::optobus(), n, 10.0);
-  auto pl = harmonic_planner(phy, n);
-  if (!pl.build(sim::TimePoint::origin(), 0)) {
-    state.SkipWithError("harmonic set did not build");
-    return;
-  }
-  const std::int64_t h = pl.hyperperiod_slots();
-  std::int64_t s = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pl.plan_for_slot(s));
-    if (++s == h) s = 0;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PlannerLookup)->Arg(8)->Arg(32);
-
 void BM_LaxityMapping(benchmark::State& state) {
   const core::LogarithmicMapper mapper;
   const core::PriorityLayout layout;

@@ -127,8 +127,14 @@ int main(int argc, char** argv) {
 
   net::Network n(cfg);
   if (o.trace) {
-    n.trace().enable(sim::TraceCategory::kSlot);
-    n.trace().set_stream(&std::cout);
+    // An observer with the default skip window sees every slot.
+    n.add_slot_observer([](const net::SlotRecord& rec) {
+      std::cout << rec.start << " [slot] slot " << rec.index
+                << " master=" << rec.master
+                << " granted=" << rec.granted.size()
+                << " next=" << rec.next_master
+                << " gap=" << rec.gap_after.ns() << "ns\n";
+    });
   }
 
   std::cout << "protocol " << n.protocol().name() << ", " << o.nodes

@@ -107,7 +107,6 @@ bool HypercyclePlanner::build(sim::TimePoint anchor_start,
   prefix_.clear();
   cycle_.clear();
   grants_.clear();
-  slot_table_.clear();
   conn_index_.clear();
 
   if (conns_.empty()) return fail("no planned connections");
@@ -327,7 +326,6 @@ bool HypercyclePlanner::extract_steady_state(
     }
     prefix_.push_back(b);
   }
-  slot_table_.assign(static_cast<std::size_t>(hyper_), -1);
   for (std::size_t k = i3; k < i4; ++k) {
     Bundle b = bundles[k];
     const std::uint32_t first = b.first_grant;
@@ -339,8 +337,6 @@ bool HypercyclePlanner::extract_steady_state(
       gr.release_slot -= cycle_origin_;
       grants_.push_back(gr);
     }
-    slot_table_[static_cast<std::size_t>(b.layout_slot)] =
-        static_cast<std::int32_t>(cycle_.size());
     cycle_.push_back(b);
   }
   return true;

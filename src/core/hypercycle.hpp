@@ -41,8 +41,7 @@
 // T + t_slot + gap(m, master(B)).  Otherwise slot k+1 idles with the
 // master unchanged (gap(m, m) > 0: the clock stop/detect bits).
 // Because the wire is never consulted, planned slots skip the entire
-// collection phase; `plan_for_slot` additionally exposes the O(1)
-// nominal-grid lookup of the cyclic window.
+// collection phase.
 #pragma once
 
 #include <cstdint>
@@ -101,7 +100,7 @@ class HypercyclePlanner {
     /// for prefix bundles, cycle-relative for cyclic ones.
     std::int64_t release_slot = 0;
     /// Nominal layout slot (same coordinates as release_slot); the
-    /// cyclic window's `plan_for_slot` table is keyed on it.
+    /// steady-state extraction matches windows on it.
     std::int64_t layout_slot = 0;
     std::uint32_t first_grant = 0;
     std::uint32_t grant_count = 0;
@@ -159,13 +158,6 @@ class HypercyclePlanner {
     return grants_.data() + b.first_grant;
   }
 
-  /// O(1) nominal-grid lookup: the index into cycle() of the bundle
-  /// the steady-state layout places at cyclic offset `slot_mod_h`
-  /// (in [0, H)), or -1 when that grid slot carries no planned grant.
-  [[nodiscard]] std::int32_t plan_for_slot(std::int64_t slot_mod_h) const {
-    return slot_table_[static_cast<std::size_t>(slot_mod_h)];
-  }
-
  private:
   struct ConnInfo {
     ConnectionId id = kNoConnection;
@@ -204,7 +196,6 @@ class HypercyclePlanner {
   std::vector<Bundle> prefix_;
   std::vector<Bundle> cycle_;
   std::vector<Grant> grants_;
-  std::vector<std::int32_t> slot_table_;
   std::vector<std::int32_t> conn_index_;
 };
 

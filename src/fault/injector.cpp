@@ -35,7 +35,7 @@ sim::Rng FaultInjector::rng_at(SlotIndex slot,
   return sim::Rng::stream(seed_, static_cast<std::uint64_t>(slot), channel);
 }
 
-std::optional<FaultInjector::TargetedFault> FaultInjector::take(
+std::optional<FaultInjector::TargetedFault> FaultInjector::take_sorted(
     std::vector<TargetedFault>& v, SlotIndex slot, NodeId node) {
   const auto key = std::make_pair(slot, node);
   const auto it = std::lower_bound(

@@ -176,8 +176,15 @@ class FaultInjector final : public net::FaultHook {
   /// Keyed generator for this slot and logical channel.
   [[nodiscard]] sim::Rng rng_at(SlotIndex slot, std::uint64_t channel) const;
   /// Pops the entry for (slot, node) from a sorted fault list, if any.
+  /// Inline so the common case -- no targeted faults scheduled, asked
+  /// per live node per slot -- costs one empty() test.
   static std::optional<TargetedFault> take(std::vector<TargetedFault>& v,
-                                           SlotIndex slot, NodeId node);
+                                           SlotIndex slot, NodeId node) {
+    if (v.empty()) return std::nullopt;
+    return take_sorted(v, slot, node);
+  }
+  static std::optional<TargetedFault> take_sorted(
+      std::vector<TargetedFault>& v, SlotIndex slot, NodeId node);
   /// Inserts into a fault list sorted by (slot, node).
   static void insert_sorted(std::vector<TargetedFault>& v, TargetedFault f);
   /// Flips `bits` distinct keyed-random bits of `e`.

@@ -29,6 +29,10 @@ struct NetworkConfig;
 using ProtocolFactory = std::function<std::unique_ptr<MacProtocol>(
     const phy::RingPhy&, const ring::RingTopology&, const NetworkConfig&)>;
 
+/// Smallest auto-sized slot payload in bytes: short rings, whose exact
+/// control-phase minimum is tiny, still carry a useful data slot.
+inline constexpr std::int64_t kDefaultPayloadFloor = 64;
+
 struct NetworkConfig {
   NodeId nodes = 8;
 
@@ -39,9 +43,8 @@ struct NetworkConfig {
   std::vector<double> link_lengths_m;
 
   /// Data payload per slot in bytes; 0 selects
-  /// max(Eq. 2 minimum, default_payload_floor).
+  /// max(exact control-phase minimum, kDefaultPayloadFloor).
   std::int64_t slot_payload_bytes = 0;
-  std::int64_t default_payload_floor = 64;
 
   core::PriorityLayout priority{};
 
@@ -85,8 +88,8 @@ struct NetworkConfig {
   /// Record every delivery in the receiving node's inbox vector.  On by
   /// default (tests and examples drain inboxes); long-running throughput
   /// and soak experiments turn it off so steady-state slots stay
-  /// allocation-free and memory stays bounded -- delivery callbacks and
-  /// NetworkStats still see every delivery.
+  /// allocation-free and memory stays bounded -- slot hooks
+  /// (SlotRecord::deliveries) and NetworkStats still see every delivery.
   bool record_inboxes = true;
 
   /// Slot fast-forward: when a slot's decision is provably "master

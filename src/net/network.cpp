@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "net/ccredf_protocol.hpp"
@@ -67,8 +66,7 @@ Network::Network(NetworkConfig cfg)
     // Eq. 2 leaves implicit and which dominates on short rings.
     // Explicitly configured payloads are only held to the paper's Eq. 2
     // (SlotTiming validates).
-    payload =
-        std::max(control_->min_payload_bytes(), cfg_.default_payload_floor);
+    payload = std::max(control_->min_payload_bytes(), kDefaultPayloadFloor);
   }
   timing_ = std::make_unique<core::SlotTiming>(*phy_, payload);
   mapper_ = make_mapper(cfg_);
@@ -234,13 +232,6 @@ Network::OpenResult Network::open_connection(
   CCREDF_EXPECT(params.service == core::ServiceClass::kHardRealTime,
                 "connection: CBS records go through open_cbs_server");
   auto decision = admission_.request(params, sim_.now());
-  trace_.emit(sim_.now(), sim::TraceCategory::kAdmission, [&] {
-    std::ostringstream os;
-    os << (decision.admitted ? "admitted" : "rejected") << " connection from "
-       << params.source << " u=" << params.utilisation()
-       << " total=" << decision.utilisation_after << "/" << admission_.u_max();
-    return os.str();
-  });
   bool planner_admit = false;
   if (!decision.admitted) {
     if (!can_plan_admit()) return OpenResult{false, kNoConnection};
@@ -262,15 +253,6 @@ Network::OpenResult Network::open_connection(
       st.base, [this, id] { release_message(id); });
   rebuild_plan();
   if (planner_admit) {
-    trace_.emit(sim_.now(), sim::TraceCategory::kAdmission, [&] {
-      std::ostringstream os;
-      os << (plan_valid_ ? "planner admitted" : "planner rejected")
-         << " connection from " << params.source << " ("
-         << (plan_valid_ ? "feasible hypercycle layout"
-                         : planner_->invalid_reason())
-         << ")";
-      return os.str();
-    });
     if (!plan_valid_) {
       // The layout/feasibility proof failed: the Eq. 5 rejection stands.
       sim_.cancel(stored.next_event);
@@ -330,14 +312,6 @@ Network::OpenResult Network::open_cbs_server(const core::CbsParams& params) {
   CCREDF_EXPECT(params.source < nodes_.size(), "cbs: bad source");
   const auto decision =
       admission_.request(params.admission_params(), sim_.now());
-  trace_.emit(sim_.now(), sim::TraceCategory::kAdmission, [&] {
-    std::ostringstream os;
-    os << (decision.admitted ? "admitted" : "rejected") << " cbs server from "
-       << params.source << " Q=" << params.budget_slots
-       << " T=" << params.period_slots
-       << " total=" << decision.utilisation_after << "/" << admission_.u_max();
-    return os.str();
-  });
   if (!decision.admitted) return OpenResult{false, kNoConnection};
   cbs_.emplace(decision.id,
                CbsState{core::CbsServer(params, timing_->slot())});
@@ -410,7 +384,7 @@ bool Network::fail_node(NodeId id) {
   Node& n = node(id);
   // Idempotence contract (fault/injector.hpp): a double-fail -- which
   // overlapping churn schedules produce naturally -- must not re-clear
-  // queues, re-zero CBS backlogs or emit a second transition trace.
+  // queues or re-zero CBS backlogs.
   if (n.failed()) return false;
   mark_plan_diverged();  // the plan's outcomes assumed a healthy ring
   n.set_failed(true);
@@ -422,8 +396,6 @@ bool Network::fail_node(NodeId id) {
     // backlog any more (the next job after restore recharges afresh).
     if (st.server.params().source == id) st.backlog = 0;
   }
-  trace_.emit(sim_.now(), sim::TraceCategory::kFault,
-              [id] { return "node " + std::to_string(id) + " failed"; });
   return true;
 }
 
@@ -433,8 +405,6 @@ bool Network::restore_node(NodeId id) {
   mark_plan_diverged();  // churn: the planned future no longer holds
   n.set_failed(false);
   soa_.failed.erase(id);
-  trace_.emit(sim_.now(), sim::TraceCategory::kFault,
-              [id] { return "node " + std::to_string(id) + " restored"; });
   return true;
 }
 
@@ -454,9 +424,6 @@ bool Network::cut_link(LinkId l) {
     cut_detect_pending_ = true;
     cut_detect_from_ = slot_;
   }
-  trace_.emit(sim_.now(), sim::TraceCategory::kFault, [l] {
-    return "link " + std::to_string(l) + " severed";
-  });
   return true;
 }
 
@@ -464,9 +431,6 @@ bool Network::splice_link(LinkId l) {
   if (!severed_.contains(l)) return false;  // splice-of-intact: no-op
   mark_plan_diverged();  // healing changes the feasible grant set too
   severed_.erase(l);
-  trace_.emit(sim_.now(), sim::TraceCategory::kFault, [l] {
-    return "link " + std::to_string(l) + " spliced";
-  });
   return true;
 }
 
@@ -903,14 +867,6 @@ void Network::step_slot() {
       static_cast<std::int64_t>(topo_.hops(master_, plan.next_master)));
   ++stats_.slots;
 
-  trace_.emit(slot_start_, sim::TraceCategory::kSlot, [&] {
-    std::ostringstream os;
-    os << "slot " << slot_ << " master=" << master_ << " granted="
-       << granted.size() << " next=" << plan.next_master
-       << " gap=" << gap.ns() << "ns";
-    return os.str();
-  });
-
   current_granted_ = plan.granted;
   master_ = plan.next_master;
   slot_start_ = slot_end + gap;
@@ -1028,7 +984,6 @@ sim::Duration Network::settle_faulted_slot(SlotPlan& plan, bool token_lost,
       ++stats_.faults.ring_dark;
       plan.next_master = cfg_.designated_restarter;
     } else {
-      ++recoveries_;
       ++stats_.faults.recoveries;
       recovery_time_ += gap;
       stats_.faults.recovery_gap.add(gap);
@@ -1090,8 +1045,7 @@ std::int64_t Network::try_fast_forward(std::int64_t max_slots,
   // A slot is skippable only when its decision is provably "the master
   // keeps the clock, nobody transmits": nothing is in flight (no grants,
   // no ack/NACK bits), the master is alive (a dead master is the
-  // token-loss path), the protocol keeps the master on such a slot, and
-  // no slot trace is recorded.
+  // token-loss path) and the protocol keeps the master on such a slot.
   if (!current_granted_.empty()) return 0;
   // Plan decision source: the cursor waits, whatever the queues hold,
   // until the next bundle's release instant.  Table releases due inside
@@ -1104,7 +1058,6 @@ std::int64_t Network::try_fast_forward(std::int64_t max_slots,
   if (decided_until <= slot_start_) return 0;
   if (!pending_acks_.empty() || !pending_nacks_.empty()) return 0;
   if (soa_.failed.contains(master_)) return 0;
-  if (trace_.enabled(sim::TraceCategory::kSlot)) return 0;
   if (!protocol_->idle_keeps_master()) return 0;
   if (!planned) {
     // TCMA decision source: an all-idle slot is the arbitration fixed

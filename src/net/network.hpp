@@ -55,7 +55,6 @@
 #include "phy/ring_phy.hpp"
 #include "ring/topology.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace ccredf::net {
 
@@ -228,7 +227,6 @@ class Network {
   [[nodiscard]] MacProtocol& protocol() { return *protocol_; }
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] const sim::Simulator& sim() const { return sim_; }
-  [[nodiscard]] sim::Trace& trace() { return trace_; }
   [[nodiscard]] core::AdmissionController& admission() { return admission_; }
   [[nodiscard]] const core::AdmissionController& admission() const {
     return admission_;
@@ -319,7 +317,7 @@ class Network {
 
   /// Fail-silent node (fault experiments); queued messages are dropped.
   /// Idempotent: failing an already-failed node is a no-op (no queue
-  /// clearing, no trace, no CBS backlog reset) and returns false.
+  /// clearing, no CBS backlog reset) and returns false.
   bool fail_node(NodeId id);
   /// Idempotent: restoring a healthy node is a no-op, returns false.
   bool restore_node(NodeId id);
@@ -367,7 +365,9 @@ class Network {
   [[nodiscard]] std::vector<OpenCbsInfo> cbs_servers_of(NodeId src) const;
 
   /// Count of token-loss recoveries performed.
-  [[nodiscard]] std::int64_t recoveries() const { return recoveries_; }
+  [[nodiscard]] std::int64_t recoveries() const {
+    return stats_.faults.recoveries;
+  }
   /// Wall time lost to recovery timeouts.
   [[nodiscard]] sim::Duration recovery_time() const {
     return recovery_time_;
@@ -560,7 +560,6 @@ class Network {
   std::unique_ptr<MacProtocol> protocol_;
   core::AdmissionController admission_;
   sim::Simulator sim_;
-  sim::Trace trace_;
   std::vector<Node> nodes_;
   /// Attached hooks in notification order; the resilience hook, when
   /// attached, is the last entry.
@@ -638,7 +637,6 @@ class Network {
   NodeSet pending_nacks_;
   MessageId next_message_id_ = 1;
   NetworkStats stats_;
-  std::int64_t recoveries_ = 0;
   sim::Duration recovery_time_ = sim::Duration::zero();
 };
 

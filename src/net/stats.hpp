@@ -100,7 +100,7 @@ struct FaultStats {
   /// next-master index (clock break).  The hazard class the guards
   /// cannot remove, only shrink.
   std::int64_t silent_misarbitrations = 0;
-  /// Token-loss recoveries performed (mirror of Network::recoveries()).
+  /// Token-loss recoveries performed (read by Network::recoveries()).
   std::int64_t recoveries = 0;
   /// Distribution of the recovery timeout gaps, ps.
   sim::OnlineStats recovery_gap;

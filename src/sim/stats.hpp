@@ -188,15 +188,4 @@ class Histogram {
   bool samples_valid_ = true;
 };
 
-/// Simple named monotonic counter (protocol event counts).
-class Counter {
- public:
-  void inc(std::int64_t by = 1) { value_ += by; }
-  [[nodiscard]] std::int64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  std::int64_t value_ = 0;
-};
-
 }  // namespace ccredf::sim

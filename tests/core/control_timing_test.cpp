@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/frames.hpp"
+#include "core/schedulability.hpp"
 #include "net/network.hpp"
 
 namespace ccredf::core {
@@ -80,14 +83,24 @@ TEST(ControlTiming, FitsSlotBoundary) {
 }
 
 TEST(ControlTiming, NetworkAutoPayloadSatisfiesExactBudget) {
-  // The engine's auto-sized slot must pass the exact (not just Eq. 2)
-  // control-phase check, for small and large rings alike.
+  // A slot of exactly min_payload_bytes must pass the exact (not just
+  // Eq. 2) control-phase check, and one byte less must not, for small and
+  // large rings alike.  The engine's auto payload is that minimum raised
+  // to the payload floor.
   for (const NodeId nodes : {NodeId{2}, NodeId{4}, NodeId{16}, NodeId{64}}) {
     net::NetworkConfig cfg;
     cfg.nodes = nodes;
-    cfg.default_payload_floor = 1;  // do not let the floor mask the math
     net::Network n(cfg);
-    EXPECT_TRUE(n.control_timing().fits_slot(n.timing().slot()))
+    const ControlTiming& ct = n.control_timing();
+    const std::int64_t exact = ct.min_payload_bytes();
+    EXPECT_TRUE(ct.fits_slot(SlotTiming(n.phy(), exact).slot()))
+        << "nodes=" << nodes;
+    if (exact - 1 >= SlotTiming::min_payload_bytes(n.phy())) {
+      EXPECT_FALSE(ct.fits_slot(SlotTiming(n.phy(), exact - 1).slot()))
+          << "nodes=" << nodes;
+    }
+    EXPECT_EQ(n.timing().payload_bytes(),
+              std::max(exact, net::kDefaultPayloadFloor))
         << "nodes=" << nodes;
   }
 }

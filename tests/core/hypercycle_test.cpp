@@ -201,25 +201,21 @@ TEST(Hypercycle, PlanIndependentOfRegistrationOrder) {
   }
 }
 
-TEST(Hypercycle, PlanForSlotMatchesCycleLayout) {
+TEST(Hypercycle, CycleLayoutSlotsAreDistinctWithinHyperperiod) {
   const auto phy = ring8();
   auto pl = planner(phy);
   pl.add(0, conn(0, 1, 1, 4), 0);
   pl.add(1, conn(4, 6, 1, 8), 0);
   ASSERT_TRUE(pl.build(TimePoint::origin(), 0)) << pl.invalid_reason();
-  // Every cyclic bundle is found at its layout offset; every other slot
-  // of the hyperperiod maps to -1.
+  // Every cyclic bundle sits at its own cycle-relative offset in [0, H).
+  ASSERT_FALSE(pl.cycle().empty());
   std::vector<bool> used(static_cast<std::size_t>(pl.hyperperiod_slots()));
-  for (std::size_t i = 0; i < pl.cycle().size(); ++i) {
-    const auto off = static_cast<std::size_t>(pl.cycle()[i].layout_slot);
-    EXPECT_EQ(pl.plan_for_slot(pl.cycle()[i].layout_slot),
-              static_cast<std::int32_t>(i));
+  for (const auto& b : pl.cycle()) {
+    ASSERT_GE(b.layout_slot, 0);
+    ASSERT_LT(b.layout_slot, pl.hyperperiod_slots());
+    const auto off = static_cast<std::size_t>(b.layout_slot);
+    EXPECT_FALSE(used[off]) << "two bundles at offset " << off;
     used[off] = true;
-  }
-  for (std::int64_t s = 0; s < pl.hyperperiod_slots(); ++s) {
-    if (!used[static_cast<std::size_t>(s)]) {
-      EXPECT_EQ(pl.plan_for_slot(s), -1);
-    }
   }
 }
 

@@ -1,4 +1,4 @@
-// Long-horizon soak: 50k slots of mixed periodic + Poisson + bursty
+// Long-horizon soak: 50k slots of mixed periodic + Poisson + bursty CBS
 // traffic with sporadic token losses and one node failing and returning.
 // Every protocol invariant must hold across the whole run, and the
 // accounting must stay self-consistent.
@@ -6,7 +6,8 @@
 
 #include "fault/injector.hpp"
 #include "net/network.hpp"
-#include "workload/burst.hpp"
+#include "services/cbs.hpp"
+#include "workload/aperiodic.hpp"
 #include "workload/periodic.hpp"
 #include "workload/poisson.hpp"
 
@@ -46,7 +47,8 @@ TEST(Soak, FiftyThousandSlotsOfEverything) {
     prev = rec;
   });
 
-  // Load: periodic RT (admitted), Poisson BE, bursts, NRT background.
+  // Load: periodic RT (admitted), Poisson BE, bursty CBS flows, NRT
+  // background.
   workload::PeriodicSetParams wp;
   wp.nodes = 16;
   wp.connections = 20;
@@ -59,15 +61,26 @@ TEST(Soak, FiftyThousandSlotsOfEverything) {
     if (n.open_connection(c).admitted) ++admitted;
   }
   ASSERT_GT(admitted, 10);
+  // One bursty flow per node, each a 2/100 server: admitted beside the RT
+  // set, well inside U_max.
+  services::CbsFlowSetParams fp;
+  fp.flows = 16;
+  fp.budget_slots = 2;
+  fp.period_slots = 100;
+  services::CbsFlowSet flows(n, fp);
+  ASSERT_EQ(flows.admitted(), 16);
 
   const auto horizon = sim::TimePoint::origin() + n.timing().slot() * 48'000;
   workload::PoissonParams pp;
   pp.rate_per_node = 0.05;
   pp.seed = 2;
   workload::PoissonGenerator poisson(n, pp, horizon);
-  workload::BurstParams bp;
-  bp.seed = 3;
-  workload::BurstGenerator bursts(n, bp, horizon);
+  workload::AperiodicParams ap;
+  ap.rate_per_flow = 0.2;
+  ap.mean_idle_slots = 200.0;
+  ap.mean_burst_slots = 40.0;
+  ap.seed = 3;
+  workload::AperiodicGenerator bursts(n, flows.ids(), ap, horizon);
   workload::PoissonParams np;
   np.rate_per_node = 0.01;
   np.traffic_class = TrafficClass::kNonRealTime;
@@ -94,10 +107,15 @@ TEST(Soak, FiftyThousandSlotsOfEverything) {
   // With sporadic token losses the guarantee may dent, but only barely
   // at this loss rate (one stall per ~2000 slots, deadlines >= 50 slots).
   EXPECT_LT(rt.user_miss_ratio(), 0.001);
+  // The bursts overran their servers' budgets: the CBS rule postponed.
+  EXPECT_GT(bursts.generated(), 0);
+  EXPECT_GT(n.stats().cbs.postponements, 0);
 
-  // Accounting self-consistency.
+  // Accounting self-consistency over the RT connections (the CBS
+  // servers' jobs ride the best-effort class).
   std::int64_t released = 0, conn_delivered = 0;
   for (const auto& [id, cs] : n.stats().per_connection) {
+    if (n.cbs_server(id) != nullptr) continue;
     released += cs.released;
     conn_delivered += cs.delivered;
   }

@@ -231,16 +231,33 @@ TEST(Network, SendValidatesArguments) {
                ConfigError);
 }
 
-TEST(Network, DeliveryCallbackFires) {
+TEST(Network, DeliveryReachesSlotRecordAndEachInboxOnce) {
+  // A multicast completes once in the slot record and lands once in each
+  // destination's inbox, with its source intact.
   Network n(small_config());
-  int called = 0;
-  n.node(2).set_delivery_callback([&](const core::Delivery& d) {
-    ++called;
-    EXPECT_EQ(d.source, 0u);
+  std::vector<core::Delivery> seen;
+  n.add_slot_observer([&](const SlotRecord& rec) {
+    seen.insert(seen.end(), rec.deliveries.begin(), rec.deliveries.end());
   });
-  n.send_best_effort(0, NodeSet::single(2), 1, Duration::milliseconds(1));
+  NodeSet dests = NodeSet::single(2);
+  dests.insert(4);
+  const MessageId id =
+      n.send_best_effort(0, dests, 1, Duration::milliseconds(1));
   n.run_slots(5);
-  EXPECT_EQ(called, 1);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].id, id);
+  EXPECT_EQ(seen[0].source, 0u);
+  EXPECT_EQ(seen[0].dests, dests);
+  for (NodeId i = 0; i < n.nodes(); ++i) {
+    const auto& inbox = n.node(i).inbox();
+    if (!dests.contains(i)) {
+      EXPECT_TRUE(inbox.empty()) << "node " << i;
+      continue;
+    }
+    ASSERT_EQ(inbox.size(), 1u) << "node " << i;
+    EXPECT_EQ(inbox[0].id, id);
+    EXPECT_EQ(inbox[0].source, 0u);
+  }
 }
 
 TEST(Network, FifoWithinSameSource) {

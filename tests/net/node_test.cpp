@@ -27,7 +27,9 @@ TEST(Node, DeliverAppendsToInbox) {
   n.deliver(make_delivery(11, 2));
   ASSERT_EQ(n.inbox().size(), 2u);
   EXPECT_EQ(n.inbox()[0].id, 10u);
+  EXPECT_EQ(n.inbox()[0].source, 0u);
   EXPECT_EQ(n.inbox()[1].id, 11u);
+  EXPECT_EQ(n.inbox()[1].source, 2u);
 }
 
 TEST(Node, ClearInbox) {
@@ -37,20 +39,16 @@ TEST(Node, ClearInbox) {
   EXPECT_TRUE(n.inbox().empty());
 }
 
-TEST(Node, CallbackFiresOnEveryDelivery) {
+TEST(Node, InboxRecordingOffKeepsInboxEmpty) {
   Node n(1);
-  int calls = 0;
-  MessageId last = 0;
-  n.set_delivery_callback([&](const core::Delivery& d) {
-    ++calls;
-    last = d.id;
-  });
+  n.set_inbox_recording(false);
+  EXPECT_FALSE(n.inbox_recording());
   n.deliver(make_delivery(7, 0));
+  EXPECT_TRUE(n.inbox().empty());
+  n.set_inbox_recording(true);
   n.deliver(make_delivery(8, 0));
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(last, 8u);
-  // Inbox still records alongside the callback.
-  EXPECT_EQ(n.inbox().size(), 2u);
+  ASSERT_EQ(n.inbox().size(), 1u);
+  EXPECT_EQ(n.inbox()[0].id, 8u);
 }
 
 TEST(Node, FailureFlagToggle) {

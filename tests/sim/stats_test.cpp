@@ -157,14 +157,5 @@ TEST(Histogram, RenderMentionsNonEmptyBins) {
   EXPECT_NE(out.find("2"), std::string::npos);
 }
 
-TEST(Counter, IncAndReset) {
-  Counter c;
-  c.inc();
-  c.inc(4);
-  EXPECT_EQ(c.value(), 5);
-  c.reset();
-  EXPECT_EQ(c.value(), 0);
-}
-
 }  // namespace
 }  // namespace ccredf::sim
