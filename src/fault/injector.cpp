@@ -26,13 +26,13 @@ constexpr std::uint64_t kFaultStreamTag = 0xFA;
 }  // namespace
 
 FaultInjector::FaultInjector(net::Network& net, std::uint64_t seed)
-    : net_(net), seed_(sim::Rng::stream_seed(seed, kFaultStreamTag, 0)) {
+    : net_(net),
+      seed_(sim::Rng::stream_seed(seed, kFaultStreamTag, 0)),
+      key_(seed_),
+      request_bits_(static_cast<std::size_t>(net.codec().request_bits())),
+      distribution_bits_(
+          static_cast<std::size_t>(net.codec().distribution_bits())) {
   net_.set_fault_hook(this);
-}
-
-sim::Rng FaultInjector::rng_at(SlotIndex slot,
-                               std::uint64_t channel) const {
-  return sim::Rng::stream(seed_, static_cast<std::uint64_t>(slot), channel);
 }
 
 std::optional<FaultInjector::TargetedFault> FaultInjector::take_sorted(
@@ -202,13 +202,8 @@ SlotIndex FaultInjector::first_idle_fault_slot(SlotIndex from,
   std::array<const Exposure*, kMaxNodes> collection{};
   std::size_t live = 0;
   std::array<NodeId, kMaxNodes> live_node{};
-  std::size_t request_bits = 0;
-  std::size_t distribution_bits = 0;
   const Exposure* distribution = nullptr;
   if (ber_active) {
-    const core::FrameCodec& codec = net_.codec();
-    request_bits = static_cast<std::size_t>(codec.request_bits());
-    distribution_bits = static_cast<std::size_t>(codec.distribution_bits());
     distribution = &ber_->path_exposure(master, n - 1);
     for (NodeId h = 0; h < n; ++h) {
       const NodeId j = net_.topology().downstream(master, h);
@@ -223,23 +218,21 @@ SlotIndex FaultInjector::first_idle_fault_slot(SlotIndex from,
   }
 
   for (SlotIndex s = from; s < lim; ++s) {
-    if (random_loss_p_ > 0.0 &&
-        rng_at(s, kChanDrop).bernoulli(random_loss_p_)) {
+    if (random_loss_p_ > 0.0 && draw(s, kChanDrop) < random_loss_p_) {
       return s;
     }
-    if (babble_active &&
-        rng_at(s, kChanBabble + babbler_).bernoulli(babble_p_)) {
+    if (babble_active && draw(s, kChanBabble + babbler_) < babble_p_) {
       return s;
     }
     if (!ber_active) continue;
     for (std::size_t i = 0; i < live; ++i) {
       if (ber_->count_flips(s, kChanCollection + live_node[i],
-                            *collection[i], request_bits) != 0) {
+                            *collection[i], request_bits_) != 0) {
         return s;
       }
     }
     if (ber_->count_flips(s, kChanDistribution, *distribution,
-                          distribution_bits) != 0) {
+                          distribution_bits_) != 0) {
       return s;
     }
   }
@@ -255,7 +248,7 @@ bool FaultInjector::drop_distribution(SlotIndex slot) {
     drop = true;
   }
   if (!drop && random_loss_p_ > 0.0 &&
-      rng_at(slot, kChanDrop).bernoulli(random_loss_p_)) {
+      draw(slot, kChanDrop) < random_loss_p_) {
     drop = true;
   }
   if (drop) ++injected_;
@@ -289,18 +282,19 @@ net::FaultHook::RequestFault FaultInjector::filter_request(
   // would otherwise stay idle (it has no message, so any grant it wins
   // is pure waste).
   if (!targeted && node == babbler_ && !rq.wants_slot() &&
-      babble_p_ > 0.0) {
+      babble_p_ > 0.0 && draw(slot, kChanBabble + node) < babble_p_) {
+    // A hit: the full stream replays the screened draw, then picks the
+    // fabricated priority.
     sim::Rng rng = rng_at(slot, kChanBabble + node);
-    if (rng.bernoulli(babble_p_)) {
-      const NodeSet dests = net_.broadcast_dests(node);
-      const auto seg =
-          ring::Segment::for_transmission(net_.topology(), node, dests);
-      rq.priority = static_cast<core::Priority>(
-          rng.uniform_int(1, codec.layout().max_level()));
-      rq.links = seg.links();
-      rq.dests = dests;
-      return RequestFault::kSpurious;
-    }
+    rng.uniform01();
+    const NodeSet dests = net_.broadcast_dests(node);
+    const auto seg =
+        ring::Segment::for_transmission(net_.topology(), node, dests);
+    rq.priority = static_cast<core::Priority>(
+        rng.uniform_int(1, codec.layout().max_level()));
+    rq.links = seg.links();
+    rq.dests = dests;
+    return RequestFault::kSpurious;
   }
 
   // Wire-image corruption: scheduled flips, else link bit errors.
@@ -319,8 +313,8 @@ net::FaultHook::RequestFault FaultInjector::filter_request(
     // Draw first: the flips are keyed on (slot, channel) and never read
     // the frame, so a record the draw misses is delivered intact without
     // building its wire image; a hit replays the same draws on it.
-    const auto bits = static_cast<std::size_t>(codec.request_bits());
-    if (ber_->count_flips(slot, kChanCollection + node, p, bits) == 0) {
+    if (ber_->count_flips(slot, kChanCollection + node, p, request_bits_) ==
+        0) {
       return RequestFault::kNone;
     }
     enc = codec.encode_request(rq);
@@ -351,8 +345,8 @@ net::FaultHook::DistributionFault FaultInjector::filter_distribution(
     // filter_request.
     const auto& pb =
         ber_->path_exposure(net_.current_master(), net_.nodes() - 1);
-    const auto bits = static_cast<std::size_t>(codec.distribution_bits());
-    if (ber_->count_flips(slot, kChanDistribution, pb, bits) == 0) {
+    if (ber_->count_flips(slot, kChanDistribution, pb, distribution_bits_) ==
+        0) {
       return DistributionFault::kNone;
     }
     enc = codec.encode(p);
@@ -391,7 +385,7 @@ net::FaultHook::DataFault FaultInjector::filter_data(
   if (!net_.config().with_payload_crc) return DataFault::kSilent;
   // CRC-32 residual: a corrupted packet forges a valid checksum with
   // probability 2^-32 per packet (keyed draw, deterministic).
-  if (rng_at(slot, kChanDataResidual + source).uniform01() < 0x1p-32) {
+  if (draw(slot, kChanDataResidual + source) < 0x1p-32) {
     return DataFault::kSilent;
   }
   return DataFault::kDetected;

@@ -32,7 +32,10 @@
 // Rng::stream_seed -- no generator state across calls -- so injections
 // are reproducible regardless of call order, container iteration or
 // sweep thread count, and the fault stream is independent of workload
-// streams seeded from the same base.
+// streams seeded from the same base.  The single-uniform decisions
+// (token loss, babble screen, CRC residual) and the BER screens read
+// their draw through a sim::StreamKey, which derives it in two
+// finalisers and builds the full generator only on a hit.
 #pragma once
 
 #include <cstdint>
@@ -173,8 +176,14 @@ class FaultInjector final : public net::FaultHook {
     int bits = 1;
   };
 
-  /// Keyed generator for this slot and logical channel.
-  [[nodiscard]] sim::Rng rng_at(SlotIndex slot, std::uint64_t channel) const;
+  /// First uniform of the keyed stream for this slot and logical channel.
+  double draw(SlotIndex slot, std::uint64_t channel) {
+    return key_.uniform01(static_cast<std::uint64_t>(slot), channel);
+  }
+  /// The full keyed generator for this slot and logical channel.
+  sim::Rng rng_at(SlotIndex slot, std::uint64_t channel) {
+    return key_.stream(static_cast<std::uint64_t>(slot), channel);
+  }
   /// Pops the entry for (slot, node) from a sorted fault list, if any.
   /// Inline so the common case -- no targeted faults scheduled, asked
   /// per live node per slot -- costs one empty() test.
@@ -193,6 +202,11 @@ class FaultInjector final : public net::FaultHook {
 
   net::Network& net_;
   std::uint64_t seed_;
+  sim::StreamKey key_;  // streams of seed_; one injector serves one thread
+  /// Frame sizes of the network's codec (fixed at its construction),
+  /// read on every BER draw.
+  std::size_t request_bits_;
+  std::size_t distribution_bits_;
 
   std::vector<SlotIndex> scheduled_losses_;  // sorted
   double random_loss_p_ = 0.0;

@@ -137,6 +137,7 @@ void Network::add_slot_observer(SlotObserver obs) {
 }
 
 void Network::set_resilience_hook(SlotHook* hook) {
+  settle_plan();  // build while the plan still can (see set_fault_hook)
   remove_slot_hook(resilience_);
   resilience_ = hook;
   if (hook != nullptr) {
@@ -161,6 +162,7 @@ MessageId Network::enqueue(NodeId src, NodeSet dests, core::TrafficClass cls,
                            std::int64_t size_slots, sim::TimePoint deadline,
                            ConnectionId conn, std::int64_t release_index,
                            sim::TimePoint arrival) {
+  settle_plan();
   CCREDF_EXPECT(src < nodes_.size(), "enqueue: bad source");
   CCREDF_EXPECT(size_slots >= 1, "enqueue: size must be >= 1 slot");
   CCREDF_EXPECT(!dests.empty() && !dests.contains(src),
@@ -251,16 +253,20 @@ Network::OpenResult Network::open_connection(
   auto& stored = releases_.at(id);
   stored.next_event = sim_.schedule_at(
       st.base, [this, id] { release_message(id); });
+  if (!planner_admit) {
+    plan_set_changed();
+    return OpenResult{true, id};
+  }
+  // The planner's proof decides this open: build now (settling any
+  // earlier stale opens in the same build).
   rebuild_plan();
-  if (planner_admit) {
-    if (!plan_valid_) {
-      // The layout/feasibility proof failed: the Eq. 5 rejection stands.
-      sim_.cancel(stored.next_event);
-      releases_.erase(id);
-      admission_.release(id);
-      rebuild_plan();
-      return OpenResult{false, kNoConnection};
-    }
+  if (!plan_valid_) {
+    // The layout/feasibility proof failed: the Eq. 5 rejection stands.
+    sim_.cancel(stored.next_event);
+    releases_.erase(id);
+    admission_.release(id);
+    plan_set_changed();
+    return OpenResult{false, kNoConnection};
   }
   return OpenResult{true, id};
 }
@@ -294,6 +300,7 @@ void Network::release_message(ConnectionId id) {
 }
 
 bool Network::close_connection(ConnectionId id) {
+  settle_plan();
   auto it = releases_.find(id);
   if (it == releases_.end() || !it->second.open) return false;
   it->second.open = false;
@@ -308,6 +315,7 @@ bool Network::close_connection(ConnectionId id) {
 }
 
 Network::OpenResult Network::open_cbs_server(const core::CbsParams& params) {
+  settle_plan();
   params.validate();
   CCREDF_EXPECT(params.source < nodes_.size(), "cbs: bad source");
   const auto decision =
@@ -349,6 +357,7 @@ MessageId Network::cbs_send(ConnectionId id, std::int64_t size_slots) {
 }
 
 bool Network::close_cbs_server(ConnectionId id) {
+  settle_plan();
   auto it = cbs_.find(id);
   if (it == cbs_.end()) return false;
   const NodeId src = it->second.server.params().source;
@@ -381,6 +390,7 @@ void Network::charge_cbs(NodeId g, bool completed) {
 }
 
 bool Network::fail_node(NodeId id) {
+  settle_plan();
   Node& n = node(id);
   // Idempotence contract (fault/injector.hpp): a double-fail -- which
   // overlapping churn schedules produce naturally -- must not re-clear
@@ -400,6 +410,7 @@ bool Network::fail_node(NodeId id) {
 }
 
 bool Network::restore_node(NodeId id) {
+  settle_plan();
   Node& n = node(id);
   if (!n.failed()) return false;  // restore-of-healthy: no-op
   mark_plan_diverged();  // churn: the planned future no longer holds
@@ -409,6 +420,7 @@ bool Network::restore_node(NodeId id) {
 }
 
 bool Network::cut_link(LinkId l) {
+  settle_plan();
   CCREDF_EXPECT(l < nodes(), "Network: link out of range");
   // Idempotence contract (fault/injector.hpp): cutting an already-
   // severed link -- which overlapping link-fault schedules produce
@@ -428,6 +440,7 @@ bool Network::cut_link(LinkId l) {
 }
 
 bool Network::splice_link(LinkId l) {
+  settle_plan();
   if (!severed_.contains(l)) return false;  // splice-of-intact: no-op
   mark_plan_diverged();  // healing changes the feasible grant set too
   severed_.erase(l);
@@ -1153,6 +1166,7 @@ void Network::rebuild_plan() {
   // A previously adopted plan may have suppressed the release events;
   // bring them back before re-deriving (a successful build re-adopts).
   plan_restore_releases();
+  plan_stale_ = false;
   plan_valid_ = false;
   plan_diverged_ = false;
   if (!can_plan_admit()) return;
@@ -1244,8 +1258,8 @@ void Network::plan_restore_releases() {
   plan_releases_.clear();
   for (auto& [id, st] : releases_) {
     if (!st.open) continue;
-    // A connection opened this very call still has its admission-time
-    // event pending (adoption never saw it) -- cancel before
+    // A connection opened since the last build still has its
+    // admission-time event pending (adoption never saw it) -- cancel before
     // re-scheduling or two self-rescheduling chains would run at once.
     sim_.cancel(st.next_event);
     const sim::TimePoint next =
@@ -1349,6 +1363,8 @@ void Network::run_for(sim::Duration d) {
 }
 
 void Network::run(std::int64_t n, sim::TimePoint horizon) {
+  settle_plan();
+  in_run_ = true;
   std::int64_t done = 0;
   while (done < n && slot_start_ < horizon) {
     const std::int64_t skipped = try_fast_forward(n - done, horizon);
@@ -1359,6 +1375,7 @@ void Network::run(std::int64_t n, sim::TimePoint horizon) {
     step_slot();
     ++done;
   }
+  in_run_ = false;
 }
 
 }  // namespace ccredf::net

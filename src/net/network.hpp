@@ -302,8 +302,10 @@ class Network {
   using SlotObserver = std::function<void(const SlotRecord&)>;
   void add_slot_observer(SlotObserver obs);
   /// Attaching a fault hook diverges any in-effect hypercycle plan: the
-  /// plan's precomputed outcomes no longer model the wire.
+  /// plan's precomputed outcomes no longer model the wire.  A stale plan
+  /// settles first, while it can still build.
   void set_fault_hook(FaultHook* hook) {
+    settle_plan();
     fault_hook_ = hook;
     if (hook != nullptr) mark_plan_diverged();
   }
@@ -380,16 +382,26 @@ class Network {
   [[nodiscard]] NodeSet failed_nodes() const { return soa_.failed; }
 
   // -- hypercycle planner (NetworkConfig::planner) -------------------------
+  //
+  // An open admitted by Eq. 5 outside a run only marks the plan stale; it
+  // is rebuilt once, at the first call that reads or changes plan-relevant
+  // state (these accessors included), so a burst of n opens builds one
+  // plan, not n.
   /// True while a built plan covers the open connection set (it may
   /// have diverged; see plan_engaged).  Always false with planner off.
-  [[nodiscard]] bool plan_valid() const { return plan_valid_; }
+  [[nodiscard]] bool plan_valid() {
+    settle_plan();
+    return plan_valid_;
+  }
   /// True while the plan actually drives slot decisions: valid and not
   /// yet diverged to slot-by-slot TCMA.
-  [[nodiscard]] bool plan_engaged() const {
+  [[nodiscard]] bool plan_engaged() {
+    settle_plan();
     return plan_valid_ && !plan_diverged_;
   }
   /// The planner instance (nullptr when NetworkConfig::planner is off).
-  [[nodiscard]] const core::HypercyclePlanner* planner() const {
+  [[nodiscard]] const core::HypercyclePlanner* planner() {
+    settle_plan();
     return planner_.get();
   }
 
@@ -486,6 +498,19 @@ class Network {
   /// (can_plan_admit) with every connection still unreleased and
   /// grid-aligned; otherwise the engine stays on slot-by-slot TCMA.
   void rebuild_plan();
+  /// Rebuilds a plan left stale by set-up opens (see plan_valid).
+  void settle_plan() {
+    if (plan_stale_) rebuild_plan();
+  }
+  /// The open connection set changed: rebuild now inside a run (the next
+  /// slot reads the plan), else only mark the plan stale.
+  void plan_set_changed() {
+    if (in_run_) {
+      rebuild_plan();
+    } else {
+      plan_stale_ = true;
+    }
+  }
   /// Whether the engine state is clean enough to build a plan: CCR-EDF,
   /// no fault or resilience hook, no CBS, no failed node or cut, no
   /// grant in flight, nothing queued.  Also gates retrying a rejected
@@ -597,6 +622,10 @@ class Network {
   std::unique_ptr<core::HypercyclePlanner> planner_;
   bool plan_valid_ = false;
   bool plan_diverged_ = false;
+  /// The open set changed since the last build (settle_plan rebuilds).
+  bool plan_stale_ = false;
+  /// Inside run(): opens rebuild at once instead of going stale.
+  bool in_run_ = false;
   /// Cursor over the plan: next transient bundle, then position within
   /// the cyclic window and the occurrence count.
   std::size_t plan_prefix_pos_ = 0;

@@ -15,7 +15,7 @@ void validate_ber(double ber) {
 
 BitErrorModel::BitErrorModel(NodeId nodes, double ber,
                              std::uint64_t stream_seed)
-    : seed_(stream_seed) {
+    : key_(stream_seed) {
   CCREDF_EXPECT(nodes >= 2 && nodes <= kMaxNodes,
                 "BitErrorModel: node count out of range");
   validate_ber(ber);
@@ -26,7 +26,7 @@ BitErrorModel::BitErrorModel(NodeId nodes, double ber,
 
 BitErrorModel::BitErrorModel(std::vector<double> link_ber,
                              std::uint64_t stream_seed)
-    : link_ber_(std::move(link_ber)), seed_(stream_seed) {
+    : link_ber_(std::move(link_ber)), key_(stream_seed) {
   CCREDF_EXPECT(link_ber_.size() >= 2 && link_ber_.size() <= kMaxNodes,
                 "BitErrorModel: link count out of range");
   for (const double b : link_ber_) {
@@ -59,30 +59,18 @@ void BitErrorModel::build_path_table() {
   }
 }
 
-int BitErrorModel::corrupt(SlotIndex slot, std::uint64_t channel,
-                           const Exposure& e, std::uint8_t* bytes,
-                           std::size_t nbits) const {
-  return sample_flips(slot, channel, e, bytes, nbits);
-}
-
-int BitErrorModel::count_flips(SlotIndex slot, std::uint64_t channel,
-                               const Exposure& e, std::size_t nbits) const {
-  return sample_flips(slot, channel, e, nullptr, nbits);
-}
-
 int BitErrorModel::sample_flips(SlotIndex slot, std::uint64_t channel,
                                 const Exposure& e, std::uint8_t* bytes,
                                 std::size_t nbits) const {
-  if (e.p <= 0.0 || nbits == 0) return 0;
   CCREDF_EXPECT(e.p < 1.0, "BitErrorModel: corruption probability >= 1");
-  sim::Rng rng =
-      sim::Rng::stream(seed_, static_cast<std::uint64_t>(slot), channel);
   // Geometric skip sampling: instead of one Bernoulli draw per bit, draw
   // the gap to the next flipped bit directly -- O(flips), not O(bits),
-  // so BER 1e-9 on a 100-bit frame costs one draw, not 100.
+  // so BER 1e-9 on a 100-bit frame costs one draw, not 100.  Most frames
+  // are clean, and screened_clean decided those from the stream's first
+  // uniform alone, without a logarithm or the full generator; here the
+  // full stream replays that draw and continues.
+  sim::Rng rng = key_.stream(static_cast<std::uint64_t>(slot), channel);
   double u = rng.uniform01();
-  // Most frames are clean; the screen decides those without a logarithm.
-  if (u >= clean_frame_threshold(e.log1mp, nbits)) return 0;
   int flips = 0;
   std::size_t pos = 0;
   while (true) {

@@ -5,10 +5,12 @@
 // corrupts the application's data -- neither kills the packet.  This
 // model draws the bit flips a frame suffers while traversing a set of
 // links, with every draw keyed on (slot, channel) coordinates via
-// Rng::stream_seed -- no generator state is carried between calls, so
-// fault streams are independent of workload streams and byte-identical
-// across sweep thread counts (the same determinism contract as the
-// sweep runner itself).  One instance models the control fibre; a
+// Rng::stream_seed -- no generator state is carried between calls (the
+// sim::StreamKey memo is a cache of the derivation, not state), so fault
+// streams are independent of workload streams and byte-identical across
+// sweep thread counts (the same determinism contract as the sweep runner
+// itself).  The memo makes the model single-threaded: each sweep shard
+// builds its own.  One instance models the control fibre; a
 // second, independently seeded instance models the data fibres (the
 // injector keeps the two on disjoint channel namespaces).
 //
@@ -73,7 +75,11 @@ class BitErrorModel {
   /// coordinates are statistically independent.  `channel` namespaces
   /// the frame (collection record of node j, distribution packet, ...).
   int corrupt(SlotIndex slot, std::uint64_t channel, const Exposure& e,
-              std::uint8_t* bytes, std::size_t nbits) const;
+              std::uint8_t* bytes, std::size_t nbits) const {
+    return screened_clean(slot, channel, e, nbits)
+               ? 0
+               : sample_flips(slot, channel, e, bytes, nbits);
+  }
 
   /// Counts the flips an `nbits`-bit frame would suffer at probability
   /// `e.p`, without materialising any buffer.  Keyed identically to
@@ -81,7 +87,11 @@ class BitErrorModel {
   /// same count -- so a caller may count first and build the frame only
   /// when it is hit.
   [[nodiscard]] int count_flips(SlotIndex slot, std::uint64_t channel,
-                                const Exposure& e, std::size_t nbits) const;
+                                const Exposure& e, std::size_t nbits) const {
+    return screened_clean(slot, channel, e, nbits)
+               ? 0
+               : sample_flips(slot, channel, e, nullptr, nbits);
+  }
 
   /// The sampler's first-draw screen.  Its exact rule: uniform `u`
   /// starts the frame with a gap of floor(log1p(-u) / log1mp) clean
@@ -99,6 +109,18 @@ class BitErrorModel {
   }
 
  private:
+  /// True when the frame is certainly clean: nothing to flip, or the
+  /// stream's first uniform clears the screen.  Inline, so a clean frame
+  /// costs the caller two finalisers and a compare.
+  [[nodiscard]] bool screened_clean(SlotIndex slot, std::uint64_t channel,
+                                    const Exposure& e,
+                                    std::size_t nbits) const {
+    return e.p <= 0.0 || nbits == 0 ||
+           key_.uniform01(static_cast<std::uint64_t>(slot), channel) >=
+               clean_frame_threshold(e.log1mp, nbits);
+  }
+  /// The sampler behind a failed screen: builds the full stream, which
+  /// replays the screened first draw, and walks the geometric gaps.
   int sample_flips(SlotIndex slot, std::uint64_t channel, const Exposure& e,
                    std::uint8_t* bytes, std::size_t nbits) const;
 
@@ -107,7 +129,9 @@ class BitErrorModel {
   std::vector<double> link_ber_;
   /// path_[first * (N + 1) + hops] = path_exposure(first, hops).
   std::vector<Exposure> path_;
-  std::uint64_t seed_;
+  /// Derives the keyed streams; mutable because its slot memo changes
+  /// on every const draw without changing any draw's value.
+  mutable sim::StreamKey key_;
   bool enabled_ = false;
 };
 

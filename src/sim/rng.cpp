@@ -6,14 +6,6 @@
 
 namespace ccredf::sim {
 
-std::uint64_t Rng::splitmix64(std::uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 Rng::Rng(std::uint64_t seed) {
   // Seed expansion via splitmix64, per the xoshiro authors' recommendation;
   // guards against the all-zero state.
@@ -51,10 +43,7 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(uniform_u64(span));
 }
 
-double Rng::uniform01() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform01() { return to_unit(next_u64()); }
 
 double Rng::uniform_real(double lo, double hi) {
   return lo + (hi - lo) * uniform01();
@@ -93,20 +82,5 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
 }
 
 Rng Rng::fork() { return Rng(next_u64()); }
-
-std::uint64_t Rng::stream_seed(std::uint64_t base, std::uint64_t a,
-                               std::uint64_t b) {
-  // Each word passes through the full splitmix64 finaliser before the next
-  // is absorbed, so streams that differ in a single bit of (base, a, b)
-  // decorrelate completely.  Distinct odd multipliers keep (a, b) and
-  // (b, a) from colliding.
-  std::uint64_t x = base;
-  std::uint64_t h = splitmix64(x);
-  x ^= a * 0xA24BAED4963EE407ull;
-  h ^= splitmix64(x);
-  x ^= b * 0x9FB21C651E98DF25ull;
-  h ^= splitmix64(x);
-  return h;
-}
 
 }  // namespace ccredf::sim

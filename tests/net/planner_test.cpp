@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "fault/injector.hpp"
 #include "net/network.hpp"
 #include "services/resilience.hpp"
+#include "sim/rng.hpp"
 
 namespace ccredf::net {
 namespace {
@@ -338,6 +340,80 @@ TEST(Planner, PlannedEngineMatchesUnplannedOutcomes) {
   EXPECT_EQ(on.stats().cls(TrafficClass::kRealTime).user_misses, 0);
   EXPECT_EQ(off.stats().cls(TrafficClass::kRealTime).user_misses, 0);
   EXPECT_EQ(on.stats().time_in_slots.ps(), off.stats().time_in_slots.ps());
+}
+
+/// The benchmark's busy shape on 32 nodes: one-slot period-32 streams at
+/// 0.9 x U_max from a shuffled source order, each 1..4 hops downstream,
+/// at distinct release offsets.
+std::vector<ConnectionParams> busy32_set(double u_max, std::uint64_t seed) {
+  constexpr NodeId kNodes = 32;
+  constexpr std::int64_t kPeriod = 32;
+  sim::Rng rng(seed);
+  const auto streams = static_cast<std::size_t>(0.9 * u_max * kPeriod);
+  const auto sources = rng.permutation(kNodes);
+  const auto offsets = rng.permutation(kPeriod);
+  std::vector<ConnectionParams> v;
+  for (std::size_t k = 0; k < streams; ++k) {
+    const auto src = static_cast<NodeId>(sources[k % sources.size()]);
+    const auto hops = static_cast<NodeId>(rng.uniform_int(1, 4));
+    v.push_back(conn(src, static_cast<NodeId>((src + hops) % kNodes), 1,
+                     kPeriod, static_cast<std::int64_t>(offsets[k])));
+  }
+  return v;
+}
+
+NetworkConfig cfg32() {
+  NetworkConfig cfg = cfg8();
+  cfg.nodes = 32;
+  return cfg;
+}
+
+TEST(Planner, LazyBuildSettlesBeforeTheFaultHookAttaches) {
+  // Nothing reads the plan between the opens and the attach: the stale
+  // plan must build (once) before the hook is stored, or it could never
+  // build and so never diverge.
+  Network n(cfg32());
+  const auto set = busy32_set(n.admission().u_max(), 1);
+  ASSERT_GT(set.size(), 10u);
+  for (const auto& c : set) ASSERT_TRUE(n.open_connection(c).admitted);
+  EXPECT_EQ(n.stats().plan_builds, 0);  // a burst of opens builds nothing
+  fault::FaultInjector inj(n, 7);
+  EXPECT_EQ(n.stats().plan_builds, 1);
+  EXPECT_EQ(n.stats().plan_divergences, 1);
+  EXPECT_FALSE(n.plan_engaged());
+}
+
+TEST(Planner, LazyBuildMatchesEagerBuild) {
+  // Reading plan_valid() after every open settles each one (the eager
+  // order); reading nothing leaves one build for the whole burst.  Apart
+  // from the build count the runs must be byte-identical.
+  const auto run = [](bool read_each_open) {
+    Network n(cfg32());
+    for (const auto& c : busy32_set(n.admission().u_max(), 3)) {
+      EXPECT_TRUE(n.open_connection(c).admitted);
+      if (read_each_open) {
+        EXPECT_TRUE(n.plan_valid());
+      }
+    }
+    core::CbsParams cbs;
+    cbs.source = 2;
+    cbs.dests = NodeSet::single(9);
+    cbs.budget_slots = 1;
+    cbs.period_slots = 1024;
+    EXPECT_TRUE(n.open_cbs_server(cbs).admitted);
+    n.run_slots(20'000);
+    // Mask the build count (the first line's ninth field).
+    std::string fp = fingerprint(n);
+    std::size_t at = 0;
+    for (int field = 0; field < 8; ++field) at = fp.find(' ', at) + 1;
+    fp.replace(at, fp.find(' ', at) - at, "*");
+    return std::make_pair(fp, n.stats().plan_builds);
+  };
+  const auto eager = run(true);
+  const auto lazy = run(false);
+  EXPECT_EQ(eager.first, lazy.first);
+  EXPECT_GT(eager.second, lazy.second);
+  EXPECT_EQ(lazy.second, 1);
 }
 
 }  // namespace

@@ -238,29 +238,30 @@ TEST(BitErrorModel, CleanFrameScreenNeverOverrulesTheExactRule) {
   EXPECT_GT(screened, 0);
 }
 
+// The geometric-skip sampler written without the screen, without
+// tabled logarithms and on a freshly built stream per frame.
+int reference(std::uint64_t seed, SlotIndex slot, std::uint64_t channel,
+              double p, std::uint8_t* bytes, std::size_t nbits) {
+  sim::Rng rng =
+      sim::Rng::stream(seed, static_cast<std::uint64_t>(slot), channel);
+  const double log1mp = std::log1p(-p);
+  int flips = 0;
+  std::size_t pos = 0;
+  while (true) {
+    const double u = rng.uniform01();
+    const double skip = std::floor(std::log1p(-u) / log1mp);
+    if (!(skip < static_cast<double>(nbits - pos))) break;
+    pos += static_cast<std::size_t>(skip);
+    bytes[pos / 8] ^= static_cast<std::uint8_t>(0x80u >> (pos % 8));
+    ++flips;
+    ++pos;
+    if (pos >= nbits) break;
+  }
+  return flips;
+}
+
 TEST(BitErrorModel, SamplerMatchesTheUnscreenedReference) {
-  // The geometric-skip sampler written without the screen and without
-  // tabled logarithms: every flip position must agree.
-  const auto reference = [](std::uint64_t seed, SlotIndex slot,
-                            std::uint64_t channel, double p,
-                            std::uint8_t* bytes, std::size_t nbits) {
-    sim::Rng rng =
-        sim::Rng::stream(seed, static_cast<std::uint64_t>(slot), channel);
-    const double log1mp = std::log1p(-p);
-    int flips = 0;
-    std::size_t pos = 0;
-    while (true) {
-      const double u = rng.uniform01();
-      const double skip = std::floor(std::log1p(-u) / log1mp);
-      if (!(skip < static_cast<double>(nbits - pos))) break;
-      pos += static_cast<std::size_t>(skip);
-      bytes[pos / 8] ^= static_cast<std::uint8_t>(0x80u >> (pos % 8));
-      ++flips;
-      ++pos;
-      if (pos >= nbits) break;
-    }
-    return flips;
-  };
+  // Every flip position must agree with the reference.
   const BitErrorModel m(std::vector<double>{1e-6, 1e-4, 1e-3, 0.02}, kSeed);
   for (LinkId first = 0; first < 4; ++first) {
     for (NodeId hops = 1; hops <= 4; ++hops) {
@@ -277,6 +278,32 @@ TEST(BitErrorModel, SamplerMatchesTheUnscreenedReference) {
       }
     }
   }
+}
+
+TEST(BitErrorModel, SamplerMatchesTheReferenceAcrossOutOfOrderSlots) {
+  // The model memoises the stream key of the last slot it drew for.  The
+  // fast-forward probe draws slots ahead of the live slot and the live
+  // filters then come back, on several channels: the order the model
+  // sees (s + 5, s, s + 5 on two channels) must not change any flip.
+  const BitErrorModel m(std::vector<double>{1e-4, 1e-3, 0.02, 0.05}, kSeed);
+  const BitErrorModel::Exposure& e = m.path_exposure(1, 3);
+  constexpr std::size_t kBits = 97;
+  constexpr std::uint64_t kChannels[] = {1, 0x207};
+  int hits = 0;
+  for (SlotIndex s = 0; s < 2'000; ++s) {
+    for (const SlotIndex slot : {s + 5, s, s + 5}) {
+      for (const std::uint64_t chan : kChannels) {
+        auto want = zeroes(kBits);
+        auto got = zeroes(kBits);
+        const int wf = reference(kSeed, slot, chan, e.p, want.data(), kBits);
+        ASSERT_EQ(m.count_flips(slot, chan, e, kBits), wf);
+        ASSERT_EQ(m.corrupt(slot, chan, e, got.data(), kBits), wf);
+        ASSERT_EQ(got, want) << "slot " << slot << " channel " << chan;
+        if (wf > 0) ++hits;
+      }
+    }
+  }
+  EXPECT_GT(hits, 100);  // the hit path (full stream) is exercised
 }
 
 TEST(BitErrorModel, SeedChangesTheStream) {

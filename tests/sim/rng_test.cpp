@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "common/error.hpp"
@@ -170,6 +172,113 @@ TEST(Rng, ForkIsDeterministic) {
   Rng ca = a.fork();
   Rng cb = b.fork();
   for (int i = 0; i < 20; ++i) EXPECT_EQ(ca.next_u64(), cb.next_u64());
+}
+
+// stream_seed written out word by word, independent of the StreamState
+// split it is built from.
+std::uint64_t reference_stream_seed(std::uint64_t base, std::uint64_t a,
+                                    std::uint64_t b) {
+  const auto splitmix = [](std::uint64_t& x) {
+    x += 0x9E3779B97F4A7C15ull;
+    std::uint64_t z = x;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  std::uint64_t x = base;
+  std::uint64_t h = splitmix(x);
+  x ^= a * 0xA24BAED4963EE407ull;
+  h ^= splitmix(x);
+  x ^= b * 0x9FB21C651E98DF25ull;
+  h ^= splitmix(x);
+  return h;
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Rng, StreamSeedMatchesTheWordByWordDerivation) {
+  Rng r(99);
+  for (int i = 0; i < 10'000; ++i) {
+    const std::uint64_t base = r.next_u64();
+    const std::uint64_t a = r.next_u64();
+    const std::uint64_t b = r.next_u64();
+    ASSERT_EQ(Rng::stream_seed(base, a, b), reference_stream_seed(base, a, b));
+  }
+  EXPECT_EQ(Rng::stream_seed(0, 0, 0), reference_stream_seed(0, 0, 0));
+}
+
+TEST(StreamKey, FirstUniformIsBitIdenticalToTheFullStream) {
+  // 10^6 random (base, slot, channel) triples, each through a fresh key
+  // and through a key that saw the previous slot.
+  Rng r(2026);
+  StreamKey carried(0);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t base = r.next_u64();
+    const std::uint64_t a = r.next_u64();
+    const std::uint64_t b = r.next_u64();
+    StreamKey key(base);
+    ASSERT_EQ(bits_of(key.uniform01(a, b)),
+              bits_of(Rng::stream(base, a, b).uniform01()))
+        << base << ' ' << a << ' ' << b;
+    ASSERT_EQ(bits_of(carried.uniform01(a % 8, b)),
+              bits_of(Rng::stream(0, a % 8, b).uniform01()));
+  }
+}
+
+TEST(StreamKey, EdgeWordsAndAdjacentSlots) {
+  const std::uint64_t edges[] = {0,
+                                 1,
+                                 2,
+                                 ~std::uint64_t{0},
+                                 ~std::uint64_t{0} - 1,
+                                 std::uint64_t{1} << 63,
+                                 0x9E3779B97F4A7C15ull};
+  for (const std::uint64_t base : edges) {
+    StreamKey key(base);
+    for (const std::uint64_t a : edges) {
+      for (const std::uint64_t b : edges) {
+        // The slot itself, then its neighbours: the memo must follow.
+        for (const std::uint64_t s : {a, a + 1, a - 1, a}) {
+          ASSERT_EQ(bits_of(key.uniform01(s, b)),
+                    bits_of(Rng::stream(base, s, b).uniform01()))
+              << base << ' ' << s << ' ' << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamKey, MemoFollowsOutOfOrderSlots) {
+  // The fast-forward probe draws ahead (s + 5), the live filter then
+  // draws for the live slot (s), and the probe comes back (s + 5): every
+  // draw must equal a fresh stream's, on both channels.
+  constexpr std::uint64_t kBase = 0xFA17ull;
+  constexpr std::uint64_t kChannels[] = {1, 0x203};
+  StreamKey key(kBase);
+  for (std::uint64_t s = 0; s < 1'000; ++s) {
+    for (const std::uint64_t slot : {s + 5, s, s + 5, s}) {
+      for (const std::uint64_t chan : kChannels) {
+        ASSERT_EQ(bits_of(key.uniform01(slot, chan)),
+                  bits_of(Rng::stream(kBase, slot, chan).uniform01()))
+            << slot << ' ' << chan;
+      }
+    }
+  }
+}
+
+TEST(StreamKey, StreamIsTheFullGenerator) {
+  constexpr std::uint64_t kBase = 42;
+  StreamKey key(kBase);
+  for (std::uint64_t s = 0; s < 100; ++s) {
+    for (std::uint64_t chan = 0; chan < 4; ++chan) {
+      const double first = key.uniform01(s, chan);
+      Rng got = key.stream(s, chan);
+      Rng want = Rng::stream(kBase, s, chan);
+      ASSERT_EQ(bits_of(got.uniform01()), bits_of(first));
+      want.next_u64();
+      for (int i = 0; i < 8; ++i) ASSERT_EQ(got.next_u64(), want.next_u64());
+    }
+  }
 }
 
 }  // namespace
